@@ -5,7 +5,8 @@ The experiment layer runs large matrices of independent simulation cells
 deterministic and share no state, so the cells can run concurrently and
 their results can be reused forever.  Two mechanisms exploit that:
 
-* **Persistent run cache** — every completed cell is written to
+* **Persistent run cache** — every completed cell (and every Figure 1
+  working-set curve, see :func:`cached`) is written to
   ``.repro-cache/`` (override with ``REPRO_CACHE_DIR`` or the CLI's
   ``--cache-dir``), keyed by a stable hash of the full run parameters plus
   a content fingerprint of the ``repro`` package source, so results
@@ -72,6 +73,9 @@ PAPER_WORKLOADS = (
 
 #: Figure 1's regular workloads.
 FIG1_REGULAR = ("CFD", "DWT", "GM", "H3D", "HS", "LUD")
+
+#: Leading tag of the run-cache keys holding Figure 1 working-set curves.
+FIG1_KEY = "fig1"
 
 
 @dataclass
@@ -646,7 +650,15 @@ def _quarantine(path: pathlib.Path) -> None:
     )
 
 
-def _disk_load(key: tuple) -> SimulationResult | None:
+def _entry_type(key: tuple) -> type:
+    """The one type a cache entry under ``key`` may hold: the allow-list
+    of the two stored kinds.  Figure 1 working-set curves (tuples of
+    floats) live under ``FIG1_KEY`` keys, simulation results under every
+    other key; nothing else is ever stored or returned."""
+    return tuple if key[0] == FIG1_KEY else SimulationResult
+
+
+def _disk_load(key: tuple):
     path = _cache_path(key)
     try:
         fh = open(path, "rb")
@@ -660,7 +672,7 @@ def _disk_load(key: tuple) -> SimulationResult | None:
         # unpickling; whatever it was, the entry is unusable.
         _quarantine(path)
         return None
-    if stored_key != key or not isinstance(result, SimulationResult):
+    if stored_key != key or not isinstance(result, _entry_type(key)):
         return None
     try:
         os.utime(path)  # refresh LRU recency: reads count as use
@@ -669,7 +681,7 @@ def _disk_load(key: tuple) -> SimulationResult | None:
     return result
 
 
-def _disk_store(key: tuple, result: SimulationResult) -> None:
+def _disk_store(key: tuple, result) -> None:
     path = _cache_path(key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -697,10 +709,10 @@ def clear_persistent_cache() -> int:
     return removed
 
 
-#: Completed runs for this process, keyed by the full run parameters.
-#: Layered above the disk cache so repeated lookups return the *same*
-#: object (and cost nothing) within a session.
-_RUN_CACHE: dict[tuple, SimulationResult] = {}
+#: Completed runs (and Figure 1 curves) for this process, keyed by the
+#: full run parameters.  Layered above the disk cache so repeated lookups
+#: return the *same* object (and cost nothing) within a session.
+_RUN_CACHE: dict[tuple, object] = {}
 
 
 def clear_run_cache() -> None:
@@ -716,7 +728,7 @@ def _count_cache(outcome: str) -> None:
         obs.metrics.counter("experiments.cache", outcome=outcome).inc()
 
 
-def _cache_get(key: tuple, use_cache: bool) -> SimulationResult | None:
+def _cache_get(key: tuple, use_cache: bool):
     if not use_cache:
         return None
     if key in _RUN_CACHE:
@@ -731,12 +743,28 @@ def _cache_get(key: tuple, use_cache: bool) -> SimulationResult | None:
     return None
 
 
-def _cache_put(key: tuple, result: SimulationResult, use_cache: bool) -> None:
+def _cache_put(key: tuple, result, use_cache: bool) -> None:
     if not use_cache:
         return
     _RUN_CACHE[key] = result
     if _CACHE_ENABLED:
         _disk_store(key, result)
+
+
+def cached(key: tuple, compute: Callable[[], object], use_cache: bool = True):
+    """``key``'s entry from the memo or disk cache, else ``compute()``.
+
+    A miss is counted, and the computed value is stored only when it is
+    of the type the key's kind allows (a :class:`CellFailure` never is).
+    """
+    hit = _cache_get(key, use_cache)
+    if hit is not None:
+        return hit
+    _count_cache("misses")
+    value = compute()
+    if isinstance(value, _entry_type(key)):
+        _cache_put(key, value, use_cache)
+    return value
 
 
 def probe_cache(
@@ -754,12 +782,6 @@ def probe_cache(
 # ----------------------------------------------------------------------
 # Cell execution
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=64)
-def _workload_cached(name: str, scale: str, seed: int) -> Workload:
-    """Per-process workload memo (traces are immutable, sharing is safe)."""
-    return build_workload(name, scale=scale, seed=seed)
-
-
 def _cell_label(spec: RunSpec) -> str:
     """Human-readable cell identity for harness spans."""
     system = spec.preset.name if spec.preset is not None else "config"
@@ -826,7 +848,7 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
                 )
                 _discard_checkpoint(checkpoint_file)
                 return result
-    workload = _workload_cached(spec.workload, spec.scale, spec.seed)
+    workload = build_workload(spec.workload, scale=spec.scale, seed=spec.seed)
     if spec.config is not None:
         config = spec.config
         if spec.chaos is not None or spec.check_invariants:
@@ -1149,15 +1171,7 @@ def run_system(
         seed=seed,
         max_events=max_events,
     ).resolved()
-    key = _memo_key(spec)
-    hit = _cache_get(key, use_cache)
-    if hit is not None:
-        return hit
-    _count_cache("misses")
-    result = _run_one(spec)
-    if isinstance(result, SimulationResult):
-        _cache_put(key, result, use_cache)
-    return result
+    return cached(_memo_key(spec), lambda: _run_one(spec), use_cache)
 
 
 def run_config(
@@ -1181,15 +1195,7 @@ def run_config(
         seed=seed,
         max_events=max_events,
     ).resolved()
-    key = _memo_key(spec)
-    hit = _cache_get(key, use_cache)
-    if hit is not None:
-        return hit
-    _count_cache("misses")
-    result = _run_one(spec)
-    if isinstance(result, SimulationResult):
-        _cache_put(key, result, use_cache)
-    return result
+    return cached(_memo_key(spec), lambda: _run_one(spec), use_cache)
 
 
 def run_matrix(

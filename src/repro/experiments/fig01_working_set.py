@@ -9,15 +9,19 @@ memory-aware throttling cannot help them.
 The metric is trace-analytic (no simulation): with N active SMs, the
 blocks concurrently resident form waves of ``N x blocks_per_sm``; the
 working set for N is the mean page count over waves, normalised to the
-all-SMs value.
+all-SMs value.  Each workload's curve goes through the shared run cache
+(keyed ``("fig1", workload, scale, seed, sm_counts)``), so a warm run
+builds no trace at all.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import (
+    FIG1_KEY,
     FIG1_REGULAR,
     PAPER_WORKLOADS,
     ExperimentResult,
+    cached,
 )
 from repro.gpu.config import GpuConfig
 from repro.gpu.occupancy import OccupancyCalculator
@@ -58,6 +62,26 @@ def working_set_curve(workload: Workload, sm_counts=SM_COUNTS) -> list[float]:
     return [value / reference for value in raw]
 
 
+def cached_curve(
+    name: str, scale: str = "tiny", seed: int = 0, sm_counts=SM_COUNTS
+) -> tuple[float, ...]:
+    """:func:`working_set_curve` of one workload, through the run cache.
+
+    On a miss the trace is built, reduced to its curve and dropped (a
+    regular trace is never retained; see ``build_workload``).
+    """
+    sm_counts = tuple(sm_counts)
+    key = (FIG1_KEY, name.upper(), scale, seed, sm_counts)
+    return cached(
+        key,
+        lambda: tuple(
+            working_set_curve(
+                build_workload(name, scale=scale, seed=seed), sm_counts
+            )
+        ),
+    )
+
+
 def run(scale: str = "tiny", sm_counts=SM_COUNTS) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig1",
@@ -65,16 +89,13 @@ def run(scale: str = "tiny", sm_counts=SM_COUNTS) -> ExperimentResult:
         columns=[f"{n}SM" for n in sm_counts],
         notes=EXPECTATION,
     )
-    for name in FIG1_REGULAR:
-        curve = working_set_curve(build_workload(name, scale=scale), sm_counts)
+    rows = [(name, "regular") for name in FIG1_REGULAR] + [
+        (name, "irregular") for name in PAPER_WORKLOADS
+    ]
+    for name, kind in rows:
+        curve = cached_curve(name, scale, sm_counts=sm_counts)
         result.add_row(
-            f"{name} (regular)",
-            **{f"{n}SM": v for n, v in zip(sm_counts, curve)},
-        )
-    for name in PAPER_WORKLOADS:
-        curve = working_set_curve(build_workload(name, scale=scale), sm_counts)
-        result.add_row(
-            f"{name} (irregular)",
+            f"{name} ({kind})",
             **{f"{n}SM": v for n, v in zip(sm_counts, curve)},
         )
     return result

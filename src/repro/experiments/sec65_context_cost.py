@@ -15,9 +15,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import systems
-from repro.experiments.common import ExperimentResult, half_ratio
-from repro.gpu.context import ContextCostModel
-from repro.simulator import GpuUvmSimulator
+from repro.experiments.common import (
+    ExperimentResult,
+    RunSpec,
+    half_ratio,
+    run_cells,
+)
 from repro.workloads.registry import build_workload
 
 EXPECTATION = (
@@ -42,16 +45,19 @@ def run(scale: str = "tiny", workload: str = "BFS-TTC",
         columns=["exec_cycles", "normalised", "switch_cycles"],
         notes=EXPECTATION,
     )
-    # These runs stay outside the shared run cache / parallel fan-out: the
-    # cost-model override is injected on the simulator instance after
-    # construction, so a SimConfig cannot describe the run.  Four cells at
-    # one workload keeps this cheap anyway.
-    runs = {}
-    for multiplier in multipliers:
-        config = systems.TO_UE.configure(wl, ratio=ratio)
-        simulator = GpuUvmSimulator(wl, config)
-        simulator.context_cost = ContextCostModel(config.gpu, multiplier)
-        runs[multiplier] = simulator.run(max_events=60_000_000)
+    config = systems.TO_UE.configure(wl, ratio=ratio)
+    cells = [
+        RunSpec(
+            workload=workload,
+            config=replace(
+                config,
+                gpu=replace(config.gpu, context_cost_multiplier=multiplier),
+            ),
+            scale=scale,
+        )
+        for multiplier in multipliers
+    ]
+    runs = dict(zip(multipliers, run_cells(cells, label="sec65")))
     reference = runs.get(1.0) or next(iter(runs.values()))
     for multiplier, run_result in runs.items():
         result.add_row(

@@ -76,10 +76,15 @@ class GpuConfig:
     # 256 bytes/cycle at 1 GHz corresponds to ~256 GB/s of the Titan Xp's
     # 547 GB/s peak being available to the context-switch engine.
     global_memory_bytes_per_cycle: int = 256
+    #: Scales every context save/restore cost (Section 6.5's sensitivity
+    #: sweep: 0 = free switches, 1 = the global-memory model).
+    context_cost_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
             raise ConfigError("num_sms must be positive")
+        if self.context_cost_multiplier < 0:
+            raise ConfigError("context_cost_multiplier must be non-negative")
         if self.threads_per_sm % WARP_SIZE:
             raise ConfigError("threads_per_sm must be a multiple of the warp size")
         if self.l2_tlb_entries % self.l2_tlb_assoc:

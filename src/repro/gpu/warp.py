@@ -60,12 +60,12 @@ class WarpOp:
         dependent_addresses: Sequence[int] | None = None,
     ) -> None:
         self.compute_cycles = int(compute_cycles)
-        self.addresses = tuple(int(a) for a in addresses)
+        self.addresses = tuple(map(int, addresses))
         self.is_store = is_store
         # Which of the addresses are written.  ``is_store`` without an
         # explicit subset means the whole access is a store.
         if store_addresses is not None:
-            self.store_addresses = tuple(int(a) for a in store_addresses)
+            self.store_addresses = tuple(map(int, store_addresses))
             self.is_store = self.is_store or bool(self.store_addresses)
         elif is_store:
             self.store_addresses = self.addresses
@@ -75,7 +75,7 @@ class WarpOp:
         # destination property record found through an edge list entry).
         # Speculative techniques — runahead probing — cannot form these.
         self.dependent_addresses = (
-            tuple(int(a) for a in dependent_addresses)
+            tuple(map(int, dependent_addresses))
             if dependent_addresses is not None
             else ()
         )

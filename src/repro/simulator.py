@@ -330,7 +330,7 @@ class GpuUvmSimulator:
             self.runtime.on_batch_end = self.etc.on_batch_end
 
         self.occupancy = OccupancyCalculator(gpu)
-        self.context_cost = ContextCostModel(gpu)
+        self.context_cost = ContextCostModel(gpu, gpu.context_cost_multiplier)
 
         self._kernel_index = 0
         self._warp_store: WarpStore | None = None

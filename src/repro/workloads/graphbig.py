@@ -62,6 +62,11 @@ class GraphWorkloadBuilder:
         if threads_per_block % WARP_SIZE:
             raise WorkloadError("threads_per_block must be a multiple of 32")
         self.graph = graph
+        # Python-list views of the CSR arrays: the trace expansions index
+        # them per edge, and list indexing is far cheaper than reading
+        # numpy scalars (and yields exact ``int`` addresses directly).
+        self._offsets = graph.offsets.tolist()
+        self._edges = graph.edges.tolist()
         self.vas = AddressSpace(page_size)
         self.threads_per_block = threads_per_block
         self.warps_per_block = threads_per_block // WARP_SIZE
@@ -128,9 +133,11 @@ class GraphWorkloadBuilder:
         """
         if not len(active):
             return
-        graph = self.graph
+        offsets, edges = self._offsets, self._edges
+        edge_addr = self.edges.addr_unchecked
+        vprop_addr = self.vprop.addr_unchecked
         ops.access(self.offsets_addrs(active))
-        slices = [graph.neighbor_slice(int(v)) for v in active]
+        slices = [(offsets[v], offsets[v + 1]) for v in map(int, active)]
         max_degree = max(end - start for start, end in slices)
         for j in range(max_degree):
             addrs: list[int] = []
@@ -139,10 +146,10 @@ class GraphWorkloadBuilder:
             for start, end in slices:
                 if start + j < end:
                     edge_index = start + j
-                    addrs.append(self.edges.addr_unchecked(edge_index))
+                    addrs.append(edge_addr(edge_index))
                     if touch_dst:
-                        dst = int(graph.edges[edge_index])
-                        dst_addr = self.vprop.addr_unchecked(dst)
+                        dst = edges[edge_index]
+                        dst_addr = vprop_addr(dst)
                         addrs.append(dst_addr)
                         dependent.append(dst_addr)
                         if dst_store:
@@ -166,10 +173,11 @@ class GraphWorkloadBuilder:
         extra_dst_addrs=None,
     ) -> None:
         """Warp-centric expansion: 32 consecutive edges per step."""
-        graph = self.graph
-        for v in active:
-            start, end = graph.neighbor_slice(int(v))
-            ops.access(self.offsets_addrs([int(v)]))
+        offsets, edges = self._offsets, self._edges
+        vprop_addr = self.vprop.addr_unchecked
+        for v in map(int, active):
+            start, end = offsets[v], offsets[v + 1]
+            ops.access(self.offsets_addrs([v]))
             for chunk_start in range(start, end, WARP_SIZE):
                 chunk_end = min(chunk_start + WARP_SIZE, end)
                 addrs = self.edge_addrs(range(chunk_start, chunk_end))
@@ -177,8 +185,8 @@ class GraphWorkloadBuilder:
                 dependent: list[int] = []
                 if touch_dst:
                     for edge_index in range(chunk_start, chunk_end):
-                        dst = int(graph.edges[edge_index])
-                        dst_addr = self.vprop.addr_unchecked(dst)
+                        dst = edges[edge_index]
+                        dst_addr = vprop_addr(dst)
                         addrs.append(dst_addr)
                         dependent.append(dst_addr)
                         if dst_store:

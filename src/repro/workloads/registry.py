@@ -105,23 +105,23 @@ def _cached_graph(scale_name: str, seed: int) -> CsrGraph:
     return SCALES[scale_name].graph(seed)
 
 
-@lru_cache(maxsize=64)
 def build_workload(name: str, scale: str = "tiny", seed: int = 0) -> Workload:
-    """Build (and memoize) a workload by name.
+    """Build a workload by name.
 
-    Traces are immutable, so sharing one built workload across simulator
-    runs is safe — the simulator instantiates fresh warps per run.
+    The irregular workloads are memoised: the experiments simulate them
+    again and again, and traces are immutable, so sharing one built
+    workload across simulator runs is safe — the simulator instantiates
+    fresh warps per run.  The regular workloads only feed Figure 1's
+    trace analysis, so they are built afresh on every call and never
+    retained (they are the largest traces by far).
     """
     if scale not in SCALES:
         raise WorkloadError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
     upper = name.upper()
-    preset = SCALES[scale]
     if upper in IRREGULAR_WORKLOADS:
-        graph = _cached_graph(scale, seed)
-        workload = IRREGULAR_WORKLOADS[upper](graph, page_size=preset.page_size)
-        workload.num_sms_hint = preset.num_sms
-        return workload
+        return _build_irregular(upper, scale, seed)
     if upper in REGULAR_SPECS:
+        preset = SCALES[scale]
         blocks = {"tiny": 32, "small": 128, "medium": 256, "paper": 1024}[scale]
         workload = build_regular(
             upper, num_blocks=blocks, page_size=preset.page_size
@@ -132,3 +132,12 @@ def build_workload(name: str, scale: str = "tiny", seed: int = 0) -> Workload:
         f"unknown workload {name!r}; irregular: {sorted(IRREGULAR_WORKLOADS)}, "
         f"regular: {sorted(REGULAR_SPECS)}"
     )
+
+
+@lru_cache(maxsize=64)
+def _build_irregular(name: str, scale: str, seed: int) -> Workload:
+    preset = SCALES[scale]
+    graph = _cached_graph(scale, seed)
+    workload = IRREGULAR_WORKLOADS[name](graph, page_size=preset.page_size)
+    workload.num_sms_hint = preset.num_sms
+    return workload

@@ -90,12 +90,23 @@ def build_regular(
             ops.access([constants.addr_unchecked(w % 1024)])
             w_lo = lo + w * per_warp
             w_hi = min(hi, w_lo + per_warp)
+            # Each SIMT step's lanes read consecutive elements: emit the
+            # step as one address range rather than one call per lane.
             for _ in range(spec.sweeps):
                 for chunk in range(w_lo, w_hi, WARP_SIZE):
-                    lanes = range(chunk, min(chunk + WARP_SIZE, w_hi))
-                    ops.access([data.addr_unchecked(i) for i in lanes])
+                    ops.access(
+                        range(
+                            data.addr_unchecked(chunk),
+                            data.addr_unchecked(min(chunk + WARP_SIZE, w_hi)),
+                            stride,
+                        )
+                    )
                 ops.access(
-                    [out.addr_unchecked(i) for i in range(w_lo, min(w_lo + WARP_SIZE, w_hi))],
+                    range(
+                        out.addr_unchecked(w_lo),
+                        out.addr_unchecked(min(w_lo + WARP_SIZE, w_hi)),
+                        stride,
+                    ),
                     is_store=True,
                 )
             warp_ops.append(ops.build())

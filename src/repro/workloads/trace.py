@@ -39,12 +39,12 @@ class BlockTrace:
 
     def pages(self, page_shift: int) -> set[int]:
         """Every virtual page this block touches."""
-        pages: set[int] = set()
-        for ops in self.warp_ops:
-            for op in ops:
-                for addr in op.addresses:
-                    pages.add(addr >> page_shift)
-        return pages
+        return {
+            addr >> page_shift
+            for ops in self.warp_ops
+            for op in ops
+            for addr in op.addresses
+        }
 
 
 @dataclass

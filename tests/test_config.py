@@ -41,6 +41,11 @@ class TestGpuConfig:
         with pytest.raises(ConfigError):
             GpuConfig(l2_tlb_entries=1000, l2_tlb_assoc=32)
 
+    def test_context_cost_multiplier(self):
+        assert GpuConfig().context_cost_multiplier == 1.0
+        with pytest.raises(ConfigError):
+            GpuConfig(context_cost_multiplier=-0.5)
+
 
 class TestUvmConfig:
     def test_table1_defaults(self):

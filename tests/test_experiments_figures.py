@@ -76,6 +76,33 @@ class TestFigureModules:
         )
         assert result.value("x1", "normalised") == 1.0
 
+    def test_sec65_runs_cached_cells(self, tmp_path):
+        """The multiplier rides in the cells' GpuConfig, so a rerun is
+        answered from the run cache and counted like any other cell."""
+        from repro.experiments import common
+
+        common.set_cache_dir(tmp_path)
+        common.clear_run_cache()
+        common.reset_cache_stats()
+        try:
+            cold = sec65_context_cost.run(
+                scale="tiny", workload="KCORE", multipliers=(0.0, 2.0)
+            )
+            assert common.cache_stats()["misses"] == 2
+            common.clear_run_cache()
+            warm = sec65_context_cost.run(
+                scale="tiny", workload="KCORE", multipliers=(0.0, 2.0)
+            )
+            assert common.cache_stats()["disk_hits"] == 2
+            assert common.cache_stats()["misses"] == 2
+        finally:
+            common.set_cache_dir(None)
+            common.clear_run_cache()
+        assert warm.rows == cold.rows
+        assert cold.value("x0", "switch_cycles") < cold.value(
+            "x2", "switch_cycles"
+        )
+
 
 class TestRunnerFlags:
     def test_output_flag_writes_tables(self, tmp_path, capsys):

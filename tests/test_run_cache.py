@@ -273,3 +273,129 @@ class TestProbeCache:
     def test_probe_respects_use_cache(self, cache):
         common.run_cells([_spec()], jobs=1)
         assert common.probe_cache(_spec(), use_cache=False) is None
+
+
+# ----------------------------------------------------------------------
+# Figure 1 working-set curves: the second kind of cache entry
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fig1_filled(tmp_path_factory):
+    """One cold Figure 1 run into a private cache dir: (dir, table)."""
+    from repro.experiments import fig01_working_set
+
+    directory = tmp_path_factory.mktemp("fig1-cache")
+    common.clear_run_cache()
+    common.set_cache_dir(directory)
+    common.set_cache_enabled(True)
+    try:
+        table = fig01_working_set.run(scale="tiny").format_table()
+    finally:
+        common.set_cache_dir(None)
+        common.clear_run_cache()
+    return directory, table
+
+
+@pytest.fixture()
+def fig1_cache(cache, fig1_filled):
+    """An isolated cache dir holding a copy of the filled Figure 1 entries."""
+    import shutil
+
+    for path in fig1_filled[0].glob("*.pkl"):
+        shutil.copy(path, cache / path.name)
+    return cache
+
+
+def _kcore_fig1_key():
+    from repro.experiments.fig01_working_set import SM_COUNTS
+
+    return (common.FIG1_KEY, "KCORE", "tiny", 0, SM_COUNTS)
+
+
+def _spy_builds(monkeypatch):
+    """Count calls to Figure 1's trace builder; returns the call list."""
+    from repro.experiments import fig01_working_set
+
+    calls = []
+    real = fig01_working_set.build_workload
+
+    def spy(name, **kwargs):
+        calls.append(name)
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(fig01_working_set, "build_workload", spy)
+    return calls
+
+
+class TestFig1Cache:
+    def test_cold_run_stores_one_entry_per_workload(self, fig1_filled):
+        directory, _ = fig1_filled
+        assert len(list(directory.glob("*.pkl"))) == 17
+
+    def test_warm_run_replays_from_disk_without_building(
+        self, fig1_cache, fig1_filled, monkeypatch
+    ):
+        from repro.experiments import fig01_working_set
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a warm Figure 1 run built a trace")
+
+        monkeypatch.setattr(fig01_working_set, "build_workload", no_build)
+        table = fig01_working_set.run(scale="tiny").format_table()
+        assert table == fig1_filled[1]
+        stats = common.cache_stats()
+        assert stats["disk_hits"] == 17
+        assert stats["misses"] == 0
+
+    def test_disabled_cache_recomputes_the_curve(self, fig1_cache, monkeypatch):
+        from repro.experiments.fig01_working_set import cached_curve
+
+        common.set_cache_enabled(False)
+        calls = _spy_builds(monkeypatch)
+        curve = cached_curve("KCORE", "tiny")
+        assert calls == ["KCORE"]
+        assert common.cache_stats()["disk_hits"] == 0
+        assert common.cache_stats()["misses"] == 1
+        common.set_cache_enabled(True)
+        common.clear_run_cache()
+        assert cached_curve("KCORE", "tiny") == curve  # the stored copy
+
+    def test_truncated_entry_is_quarantined_and_recomputed(
+        self, fig1_cache, monkeypatch
+    ):
+        from repro.experiments.fig01_working_set import cached_curve
+
+        path = common._cache_path(_kcore_fig1_key())
+        stored = path.read_bytes()
+        path.write_bytes(stored[: len(stored) // 2])
+        calls = _spy_builds(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            curve = cached_curve("KCORE", "tiny")
+        assert calls == ["KCORE"]
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert path.read_bytes() == stored  # recomputed bit-identically
+        assert len(curve) == 16 and curve[-1] == 1.0
+
+    def test_fig1_entry_never_satisfies_a_simulation_key(self, cache):
+        import pickle
+
+        sim_key = common._memo_key(_spec())
+        curve = (0.5,) * 16
+        common._cache_path(sim_key).parent.mkdir(parents=True, exist_ok=True)
+        with open(common._cache_path(sim_key), "wb") as fh:
+            pickle.dump((sim_key, curve), fh)
+        assert common.probe_cache(_spec()) is None
+        result = common.run_cells([_spec()], jobs=1)[0]
+        assert isinstance(result, common.SimulationResult)
+
+    def test_simulation_result_never_satisfies_a_fig1_key(self, cache):
+        import pickle
+
+        result = common.run_cells([_spec()], jobs=1)[0]
+        key = _kcore_fig1_key()
+        with open(common._cache_path(key), "wb") as fh:
+            pickle.dump((key, result), fh)
+        assert common._disk_load(key) is None
+        assert common._entry_type(key) is tuple
+        assert common._entry_type(common._memo_key(_spec())) is (
+            common.SimulationResult
+        )

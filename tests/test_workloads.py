@@ -162,6 +162,14 @@ class TestRegistry:
         b = build_workload("KCORE", scale="tiny")
         assert a is b
 
+    def test_regular_workloads_are_not_retained(self):
+        """Only Figure 1 reads the (large) regular traces; it reduces each
+        to a curve, so the registry builds them afresh every time."""
+        a = build_workload("DWT", scale="tiny")
+        b = build_workload("dwt", scale="tiny")
+        assert a is not b
+        assert a.num_ops == b.num_ops
+
     def test_scale_sets_page_size_and_hint(self):
         workload = build_workload("KCORE", scale="tiny")
         assert workload.address_space.page_size == SCALES["tiny"].page_size
