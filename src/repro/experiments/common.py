@@ -22,6 +22,11 @@ their results can be reused forever.  Two mechanisms exploit that:
   back by cell index, so a parallel run is bit-identical to the serial
   one.  Select workers with ``--jobs``, ``REPRO_JOBS``, or
   :func:`set_default_jobs` (default: serial).
+
+How cells execute is one frozen :class:`ExecutionPolicy`, applied in one
+place, :meth:`RunSpec.resolved`.  :func:`run_cells` and :func:`probe_cache`
+take an explicit ``policy`` (the serving layer's); without one they use
+the process default, :func:`policy` / :func:`set_policy`.
 """
 
 from __future__ import annotations
@@ -145,6 +150,88 @@ def half_ratio(scale: str) -> float:
 
 
 # ----------------------------------------------------------------------
+# Execution policy
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ExecutionPolicy:
+    """How cells execute (see docs/robustness.md): what
+    :meth:`RunSpec.resolved` writes onto each spec, plus what
+    :func:`run_cells` reads itself."""
+
+    #: Worker processes for cache-missing cells (1: serial).
+    jobs: int = 1
+    #: Per-cell progress lines on stderr during fan-outs.
+    progress: bool = False
+    #: Chaos plan for every cell whose spec doesn't carry its own; may mix
+    #: simulation-level and process-level (``worker-*``) kinds, which
+    #: :meth:`RunSpec.resolved` splits into ``chaos`` and ``pool_chaos``.
+    chaos: ChaosConfig | None = None
+    #: Batch-boundary invariant checking in every cell.
+    invariants: bool = False
+    #: Per-cell wall-clock budget in seconds (None: unbounded).
+    cell_timeout: float | None = None
+    #: Checkpoint every cell into ``checkpoint_dir`` every
+    #: ``checkpoint_every`` batches; with ``resume``, a cell continues
+    #: from its existing checkpoint file.  ``None``: no checkpoints.
+    checkpoint_dir: str | None = None
+    checkpoint_every: int = 1
+    resume: bool = False
+    #: How many times a cell is re-run after a *transient* failure.
+    retries: int = 1
+    #: What to do with a cell that keeps failing: "raise" aborts the
+    #: sweep; "keep-going" records a CellFailure in its slot so the sweep
+    #: completes with partial data.
+    on_error: str = "raise"
+    #: Hard per-cell wall deadline enforced by an ephemeral pool's
+    #: supervisor (None: rely on the in-simulation watchdog only).
+    worker_deadline: float | None = None
+    #: Crashes on one memo key before an ephemeral pool's circuit breaker
+    #: quarantines it as a :class:`~repro.errors.PoisonCellError`.
+    breaker_threshold: int = 5
+
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if self.cell_timeout is not None and self.cell_timeout <= 0:
+            raise ValueError("cell timeout must be positive (or None)")
+        if self.checkpoint_every <= 0:
+            raise ValueError("checkpoint interval must be positive")
+        if self.retries < 0:
+            raise ValueError("retries must be non-negative")
+        if self.on_error not in ("raise", "keep-going"):
+            raise ValueError(f"unknown on-error policy {self.on_error!r}")
+        if self.worker_deadline is not None and self.worker_deadline <= 0:
+            raise ValueError("worker deadline must be positive (or None)")
+        if self.breaker_threshold < 1:
+            raise ValueError("breaker threshold must be at least 1")
+
+
+def _env_jobs() -> int:
+    """``REPRO_JOBS`` as a worker count (unset or empty: serial)."""
+    value = os.environ.get("REPRO_JOBS") or "1"
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_JOBS must be an integer, got {value!r}"
+        ) from None
+
+
+_POLICY = ExecutionPolicy(jobs=_env_jobs())
+
+
+def policy() -> ExecutionPolicy:
+    """The process-wide default :class:`ExecutionPolicy`."""
+    return _POLICY
+
+
+def set_policy(new: ExecutionPolicy) -> None:
+    """Replace the process-wide default :class:`ExecutionPolicy`."""
+    global _POLICY
+    _POLICY = new
+
+
+# ----------------------------------------------------------------------
 # Run specification
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -195,46 +282,41 @@ class RunSpec:
     #: with (and stays bit-identical to) a chaos-free one.
     pool_chaos: ChaosConfig | None = None
 
-    def resolved(self) -> "RunSpec":
+    def resolved(self, policy: ExecutionPolicy | None = None) -> "RunSpec":
         """Canonicalise so equal runs always produce equal cache keys:
         upper-case the workload name (the registry is case-insensitive),
-        fill the scale-calibrated default ratio, apply the module-wide
-        chaos/invariants/timeout defaults (:func:`set_default_chaos`,
-        :func:`set_default_invariants`, :func:`set_cell_timeout`), and
+        fill the scale-calibrated default ratio, apply ``policy`` (default:
+        the process policy) to every field the spec leaves unset, and
         split process-level chaos kinds out of ``chaos`` into
         ``pool_chaos`` so they can never contaminate ``SimConfig`` or a
         cache key."""
-        spec = self
-        if spec.workload != spec.workload.upper():
-            spec = replace(spec, workload=spec.workload.upper())
-        if spec.ratio is None and spec.config is None:
-            spec = replace(spec, ratio=half_ratio(spec.scale))
-        if spec.chaos is None and _DEFAULT_CHAOS is not None:
-            spec = replace(spec, chaos=_DEFAULT_CHAOS)
-        if spec.chaos is not None:
-            sim_chaos, process_chaos = split_process_chaos(spec.chaos)
-            if process_chaos is not None:
-                spec = replace(
-                    spec,
-                    chaos=sim_chaos,
-                    pool_chaos=(
-                        spec.pool_chaos
-                        if spec.pool_chaos is not None
-                        else process_chaos
-                    ),
-                )
-        if spec.pool_chaos is None and _POOL_CHAOS is not None:
-            spec = replace(spec, pool_chaos=_POOL_CHAOS)
-        if _DEFAULT_INVARIANTS and not spec.check_invariants:
-            spec = replace(spec, check_invariants=True)
-        if spec.wall_budget_seconds is None and _CELL_TIMEOUT is not None:
-            spec = replace(spec, wall_budget_seconds=_CELL_TIMEOUT)
-        if spec.checkpoint_dir is None and _CHECKPOINT_DIR is not None:
+        policy = policy or _POLICY
+        chaos, pool_chaos = split_process_chaos(
+            self.chaos if self.chaos is not None else policy.chaos
+        )
+        spec = replace(
+            self,
+            workload=self.workload.upper(),
+            ratio=(
+                half_ratio(self.scale)
+                if self.ratio is None and self.config is None
+                else self.ratio
+            ),
+            chaos=chaos,
+            pool_chaos=self.pool_chaos or pool_chaos,
+            check_invariants=self.check_invariants or policy.invariants,
+            wall_budget_seconds=(
+                self.wall_budget_seconds
+                if self.wall_budget_seconds is not None
+                else policy.cell_timeout
+            ),
+        )
+        if spec.checkpoint_dir is None and policy.checkpoint_dir is not None:
             spec = replace(
                 spec,
-                checkpoint_dir=_CHECKPOINT_DIR,
-                checkpoint_every=_CHECKPOINT_EVERY,
-                resume=_CHECKPOINT_RESUME,
+                checkpoint_dir=policy.checkpoint_dir,
+                checkpoint_every=policy.checkpoint_every,
+                resume=policy.resume,
             )
         return spec
 
@@ -274,29 +356,10 @@ def _memo_key(spec: RunSpec) -> tuple:
 # ----------------------------------------------------------------------
 _CACHE_ENABLED = os.environ.get("REPRO_CACHE", "1") != "0"
 _CACHE_DIR: pathlib.Path | None = None
-_DEFAULT_JOBS = max(1, int(os.environ.get("REPRO_JOBS", "1") or "1"))
-_PROGRESS = False
 
-# ---- Robustness policy (see docs/robustness.md) ----------------------
-#: Chaos plan applied to every cell whose spec doesn't carry its own.
-_DEFAULT_CHAOS: ChaosConfig | None = None
-#: Invariant checking applied to every cell by default.
-_DEFAULT_INVARIANTS = False
-#: Per-cell wall-clock budget in seconds (None: unbounded).
-_CELL_TIMEOUT: float | None = None
-#: Checkpoint policy applied to every cell whose spec doesn't carry its
-#: own (see :func:`set_checkpoint_policy`).
-_CHECKPOINT_DIR: str | None = None
-_CHECKPOINT_EVERY = 1
-_CHECKPOINT_RESUME = False
-#: How many times a cell is re-run after a *transient* failure, and the
-#: base of the exponential backoff between attempts.
-_MAX_RETRIES = 1
+#: Base of the exponential backoff between retries of a transient
+#: failure, in seconds.
 _RETRY_BACKOFF = 0.25
-#: What to do with a cell that keeps failing: "raise" aborts the sweep
-#: (legacy behaviour); "keep-going" records a CellFailure in its slot so
-#: the sweep completes with partial data.
-_ON_ERROR = "raise"
 
 #: Errors worth retrying: infrastructure hiccups, not simulator states.
 #: A deterministic simulation error would simply reproduce, so
@@ -309,37 +372,42 @@ _ON_ERROR = "raise"
 #: affected cells.
 _TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (OSError,)
 
-# ---- Supervised pool policy (see docs/robustness.md) -----------------
-#: Process-level chaos applied to every cell whose spec doesn't carry
-#: its own (``worker-kill`` / ``worker-hang`` / ``worker-slow``).
-_POOL_CHAOS: ChaosConfig | None = None
-#: Heartbeat interval for pool workers (seconds).
-_POOL_HEARTBEAT = 0.25
-#: Hard per-cell wall deadline enforced by the pool supervisor
-#: (``None``: rely on the in-simulation watchdog only).
-_WORKER_DEADLINE: float | None = None
-#: Crashes on one memo key before the pool's circuit breaker quarantines
-#: it as a :class:`~repro.errors.PoisonCellError`.
-_BREAKER_THRESHOLD = 5
 #: Worker-process-local hook called with each freshly built/restored
 #: simulator (after checkpoints are enabled): the mount point for
 #: process-level chaos (:mod:`repro.pool.worker`).  Never set in the
 #: parent process.
 _CELL_HOOK: Callable | None = None
 
-#: Structured failures collected while ``_ON_ERROR == "keep-going"``.
+#: Structured failures collected under the process policy's
+#: ``keep-going`` (see :func:`drain_failures`).
 FAILURES: list[CellFailure] = []
 
 #: Per-process counters for observability (see :func:`cache_stats`).
 CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "evictions": 0}
 
 # ---- Cache quota / LRU eviction (see docs/serving.md) ----------------
+
+
+def quota_bytes(megabytes: float | str, name: str) -> int:
+    """``megabytes`` in bytes; a ValueError naming ``name`` (the flag or
+    environment variable) unless it is a number of at least one byte."""
+    try:
+        quota = int(float(megabytes) * 1024 * 1024)
+    except (ValueError, OverflowError):
+        quota = 0
+    if quota <= 0:
+        raise ValueError(
+            f"{name} must be at least one byte, got {megabytes!r}"
+        )
+    return quota
+
+
 #: Size budget for the persistent cache directory in bytes; ``None``
 #: leaves the cache unbounded (the historical behaviour).
 _CACHE_QUOTA_BYTES: int | None = None
 _env_quota = os.environ.get("REPRO_CACHE_QUOTA_MB")
 if _env_quota:
-    _CACHE_QUOTA_BYTES = max(1, int(float(_env_quota) * 1024 * 1024))
+    _CACHE_QUOTA_BYTES = quota_bytes(_env_quota, "REPRO_CACHE_QUOTA_MB")
 #: Cache files that must never be evicted while pinned (in-flight server
 #: entries), as ``{file name: pin count}``; guarded by ``_PIN_LOCK``
 #: because the serving layer pins from the event loop while eviction
@@ -361,124 +429,15 @@ def set_cache_dir(path: str | pathlib.Path | None) -> None:
 
 
 def set_default_jobs(jobs: int) -> None:
-    """Default worker count for :func:`run_cells` / :func:`run_matrix`."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = max(1, int(jobs))
-
-
-def set_progress(enabled: bool) -> None:
-    """Toggle per-cell progress lines on stderr during fan-outs."""
-    global _PROGRESS
-    _PROGRESS = enabled
-
-
-def set_default_chaos(chaos: ChaosConfig | None) -> None:
-    """Apply ``chaos`` to every subsequent cell (``None`` disables).
-
-    The config may freely mix simulation-level and process-level kinds:
-    :meth:`RunSpec.resolved` splits them, so ``worker-kill`` and friends
-    reach the supervised pool while the rest reaches ``SimConfig``.
-    """
-    global _DEFAULT_CHAOS
-    _DEFAULT_CHAOS = chaos
-
-
-def set_pool_chaos(chaos: ChaosConfig | None) -> None:
-    """Process-level chaos for every subsequent pooled cell.
-
-    Unlike :func:`set_default_chaos` this never touches cache keys or
-    ``SimConfig`` — it feeds :func:`repro.chaos.process.plan_worker_chaos`
-    in the supervised pool.
-    """
-    global _POOL_CHAOS
-    _POOL_CHAOS = chaos
-
-
-def set_pool_policy(
-    heartbeat: float | None = None,
-    deadline: float | None = None,
-    breaker_threshold: int | None = None,
-) -> None:
-    """Tune the supervised pool built by :func:`run_cells`.
-
-    Arguments left ``None`` keep their current values, except
-    ``deadline`` which is an absolute setting (pass ``0`` to clear it).
-    """
-    global _POOL_HEARTBEAT, _WORKER_DEADLINE, _BREAKER_THRESHOLD
-    if heartbeat is not None:
-        if heartbeat <= 0:
-            raise ValueError("heartbeat must be positive")
-        _POOL_HEARTBEAT = float(heartbeat)
-    if deadline is not None:
-        _WORKER_DEADLINE = float(deadline) if deadline > 0 else None
-    if breaker_threshold is not None:
-        if breaker_threshold < 1:
-            raise ValueError("breaker threshold must be at least 1")
-        _BREAKER_THRESHOLD = int(breaker_threshold)
+    """Set the process policy's worker count for :func:`run_cells` /
+    :func:`run_matrix`."""
+    set_policy(replace(_POLICY, jobs=max(1, int(jobs))))
 
 
 def set_cell_hook(hook: Callable | None) -> None:
     """Install the worker-process simulator hook (pool internals)."""
     global _CELL_HOOK
     _CELL_HOOK = hook
-
-
-def set_default_invariants(enabled: bool) -> None:
-    """Run invariant checks in every subsequent cell."""
-    global _DEFAULT_INVARIANTS
-    _DEFAULT_INVARIANTS = bool(enabled)
-
-
-def set_cell_timeout(seconds: float | None) -> None:
-    """Wall-clock budget per cell (``None``: unbounded)."""
-    global _CELL_TIMEOUT
-    if seconds is not None and seconds <= 0:
-        raise ValueError("cell timeout must be positive (or None)")
-    _CELL_TIMEOUT = seconds
-
-
-def set_checkpoint_policy(
-    directory: str | pathlib.Path | None,
-    every: int = 1,
-    resume: bool = False,
-) -> None:
-    """Checkpoint every cell into ``directory`` every ``every`` batches.
-
-    With ``resume``, a cell whose checkpoint file already exists continues
-    from it instead of starting over — the mechanism behind resumable
-    sweeps (a killed/stalled sweep rerun with ``--resume`` picks up every
-    in-flight cell from its last batch boundary).  ``None`` disables
-    checkpointing entirely.
-    """
-    global _CHECKPOINT_DIR, _CHECKPOINT_EVERY, _CHECKPOINT_RESUME
-    if directory is None:
-        _CHECKPOINT_DIR, _CHECKPOINT_EVERY, _CHECKPOINT_RESUME = None, 1, False
-        return
-    if every <= 0:
-        raise ValueError("checkpoint interval must be positive")
-    _CHECKPOINT_DIR = str(directory)
-    _CHECKPOINT_EVERY = int(every)
-    _CHECKPOINT_RESUME = bool(resume)
-
-
-def set_retry_policy(retries: int, backoff: float = 0.25) -> None:
-    """Retry transiently failing cells ``retries`` times with exponential
-    backoff starting at ``backoff`` seconds."""
-    global _MAX_RETRIES, _RETRY_BACKOFF
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    _MAX_RETRIES = int(retries)
-    _RETRY_BACKOFF = max(0.0, float(backoff))
-
-
-def set_on_error(policy: str) -> None:
-    """``"raise"`` aborts a sweep on the first persistent cell failure;
-    ``"keep-going"`` records a :class:`~repro.errors.CellFailure` in the
-    failed cell's result slot and completes the sweep."""
-    global _ON_ERROR
-    if policy not in ("raise", "keep-going"):
-        raise ValueError(f"unknown on-error policy {policy!r}")
-    _ON_ERROR = policy
 
 
 def is_failure(result) -> bool:
@@ -768,15 +727,18 @@ def cached(key: tuple, compute: Callable[[], object], use_cache: bool = True):
 
 
 def probe_cache(
-    spec: RunSpec, use_cache: bool = True
+    spec: RunSpec,
+    use_cache: bool = True,
+    policy: ExecutionPolicy | None = None,
 ) -> SimulationResult | None:
-    """Look ``spec`` up in the memo + disk cache without running anything.
+    """Look ``spec`` (resolved under ``policy``) up in the memo + disk
+    cache without running anything.
 
     The serving layer's warm fast path: a hit is counted and returned
     immediately (no admission, no batching); a miss returns ``None`` and
     counts nothing — the eventual :func:`run_cells` dispatch records it.
     """
-    return _cache_get(_memo_key(spec.resolved()), use_cache)
+    return _cache_get(_memo_key(spec.resolved(policy)), use_cache)
 
 
 # ----------------------------------------------------------------------
@@ -827,48 +789,37 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
     bit-identical to the uninterrupted run.  Unusable checkpoints
     (truncated, version-skewed) degrade to a fresh run with a warning."""
     checkpoint_file: pathlib.Path | None = None
+    checkpoint = None
     if spec.checkpoint_dir is not None:
         checkpoint_file = _checkpoint_file(spec)
         if spec.resume and checkpoint_file.exists():
             from repro.checkpoint import try_load
 
             checkpoint = try_load(checkpoint_file)
-            if checkpoint is not None:
-                sim = checkpoint.restore()
-                sim.enable_checkpoints(
-                    spec.checkpoint_dir,
-                    every=spec.checkpoint_every,
-                    basename=checkpoint_file.stem,
-                )
-                if _CELL_HOOK is not None:
-                    _CELL_HOOK(sim)
-                result = sim.resume(
-                    max_events=spec.max_events,
-                    wall_budget_seconds=spec.wall_budget_seconds,
-                )
-                _discard_checkpoint(checkpoint_file)
-                return result
-    workload = build_workload(spec.workload, scale=spec.scale, seed=spec.seed)
-    if spec.config is not None:
-        config = spec.config
-        if spec.chaos is not None or spec.check_invariants:
-            from dataclasses import replace as _replace
-
-            config = _replace(
-                config,
-                chaos=spec.chaos if spec.chaos is not None else config.chaos,
-                check_invariants=spec.check_invariants
-                or config.check_invariants,
-            )
+    if checkpoint is not None:
+        sim = checkpoint.restore()
     else:
-        config = spec.preset.configure(
-            workload,
-            ratio=spec.ratio,
-            fault_handling_cycles=spec.fault_handling_cycles,
-            chaos=spec.chaos,
-            check_invariants=spec.check_invariants,
+        workload = build_workload(
+            spec.workload, scale=spec.scale, seed=spec.seed
         )
-    sim = GpuUvmSimulator(workload, config, backend=spec.backend)
+        if spec.config is not None:
+            config = spec.config
+            if spec.chaos is not None or spec.check_invariants:
+                config = replace(
+                    config,
+                    chaos=spec.chaos or config.chaos,
+                    check_invariants=spec.check_invariants
+                    or config.check_invariants,
+                )
+        else:
+            config = spec.preset.configure(
+                workload,
+                ratio=spec.ratio,
+                fault_handling_cycles=spec.fault_handling_cycles,
+                chaos=spec.chaos,
+                check_invariants=spec.check_invariants,
+            )
+        sim = GpuUvmSimulator(workload, config, backend=spec.backend)
     if checkpoint_file is not None:
         sim.enable_checkpoints(
             spec.checkpoint_dir,
@@ -877,7 +828,8 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
         )
     if _CELL_HOOK is not None:
         _CELL_HOOK(sim)
-    result = sim.run(
+    run = sim.run if checkpoint is None else sim.resume
+    result = run(
         max_events=spec.max_events,
         wall_budget_seconds=spec.wall_budget_seconds,
     )
@@ -890,7 +842,7 @@ def _record_failure(
     spec: RunSpec,
     exc: BaseException,
     attempts: int,
-    on_error: str | None = None,
+    policy: ExecutionPolicy | None = None,
 ) -> CellFailure:
     """Convert a persistently failing cell into a structured record.
 
@@ -913,12 +865,12 @@ def _record_failure(
     # resume the cell by hand even after the retry budget ran out.
     failure.flight_recorder = getattr(exc, "flight_recorder", None)
     failure.checkpoint_path = getattr(exc, "checkpoint_path", None)
-    return _deliver_failure(failure, on_error, cause=exc)
+    return _deliver_failure(failure, policy, cause=exc)
 
 
 def _deliver_failure(
     failure: CellFailure,
-    on_error: str | None,
+    policy: ExecutionPolicy | None,
     cause: BaseException | None = None,
 ) -> CellFailure:
     """Apply the on-error policy to a structured failure record.
@@ -926,11 +878,12 @@ def _deliver_failure(
     Shared by :func:`_record_failure` (failures built here from raw
     exceptions) and the pool path (failures built by the supervisor —
     poison cells — that arrive pre-structured)."""
-    if (on_error or _ON_ERROR) != "keep-going":
+    effective = policy or _POLICY
+    if effective.on_error != "keep-going":
         raise failure from cause
-    if on_error is None:
-        # Only the module-wide policy accumulates into FAILURES (drained
-        # by the CLI's sweep report); per-call keep-going callers (the
+    if policy is None:
+        # Only the process policy accumulates into FAILURES (drained by
+        # the CLI's sweep report); callers passing their own policy (the
         # serving layer) receive failures in their result slots instead.
         FAILURES.append(failure)
     obs = _obs_current()
@@ -938,7 +891,7 @@ def _deliver_failure(
         obs.metrics.counter(
             "experiments.cell_failures", error=failure.error_type
         ).inc()
-    if _PROGRESS:
+    if effective.progress:
         sys.stderr.write(f"\n  [cell failed] {failure.summary()}\n")
         sys.stderr.flush()
     return failure
@@ -958,7 +911,7 @@ def _resumable_stall(exc: BaseException | None, spec: RunSpec) -> bool:
 def _run_one(
     spec: RunSpec,
     prior: BaseException | None = None,
-    on_error: str | None = None,
+    policy: ExecutionPolicy | None = None,
 ) -> SimulationResult | CellFailure:
     """Run one cell under the retry/failure policy.
 
@@ -969,9 +922,8 @@ def _run_one(
     simulator errors fail immediately (re-running would reproduce them) —
     except a checkpointed stall, which retries *resuming* from the
     checkpoint; anything outside the taxonomy propagates — it is a bug,
-    not a cell failure.  ``on_error`` overrides the module-wide policy
-    for this call (the serving layer runs keep-going batches without
-    touching the CLI's global state).
+    not a cell failure.  ``policy`` (default: the process policy)
+    supplies the retry budget and the on-error policy.
     """
     attempts = 0
     last = prior
@@ -981,7 +933,7 @@ def _run_one(
             spec = replace(spec, resume=True)
     while last is None or (
         (isinstance(last, _TRANSIENT_ERRORS) or _resumable_stall(last, spec))
-        and attempts <= _MAX_RETRIES
+        and attempts <= (policy or _POLICY).retries
     ):
         if last is not None and _RETRY_BACKOFF:
             _time.sleep(_RETRY_BACKOFF * (2 ** (attempts - 1)))
@@ -995,7 +947,7 @@ def _run_one(
             last = exc
             if _resumable_stall(exc, spec) and not spec.resume:
                 spec = replace(spec, resume=True)
-    return _record_failure(spec, last, attempts, on_error)
+    return _record_failure(spec, last, attempts, policy)
 
 
 def run_cells(
@@ -1003,7 +955,7 @@ def run_cells(
     jobs: int | None = None,
     use_cache: bool = True,
     label: str = "cells",
-    on_error: str | None = None,
+    policy: ExecutionPolicy | None = None,
     pool=None,
 ) -> list[SimulationResult]:
     """Run every cell, in parallel for cache misses; results keep order.
@@ -1024,15 +976,16 @@ def run_cells(
     only the affected cells are resubmitted — surviving results are
     kept and no per-cell retry budget is burned.
 
-    Failing cells follow the retry/on-error policy (:func:`set_retry_policy`,
-    :func:`set_on_error`): under ``keep-going`` a persistently failing
+    Every cell is resolved under ``policy`` (default: the process
+    policy, :func:`policy`), and failing cells follow its retry and
+    on-error settings: under ``keep-going`` a persistently failing
     cell's slot holds a :class:`~repro.errors.CellFailure` instead of a
-    result, and the sweep completes with partial data.  ``on_error``
-    overrides the module-wide policy for this call only — the serving
-    layer's batched entry point, which must keep going without mutating
-    the CLI's globals.
+    result, and the sweep completes with partial data.  ``jobs``
+    overrides ``policy.jobs``; a caller-owned ``pool`` ignores the
+    policy's worker deadline and breaker threshold.
     """
-    cells = [cell.resolved() for cell in cells]
+    effective = policy or _POLICY
+    cells = [cell.resolved(effective) for cell in cells]
     keys = [_memo_key(cell) for cell in cells]
     results: list[SimulationResult | None] = [None] * len(cells)
     pending: list[int] = []
@@ -1049,12 +1002,12 @@ def run_cells(
             len(pending)
         )
 
-    jobs = _DEFAULT_JOBS if jobs is None else max(1, int(jobs))
+    jobs = effective.jobs if jobs is None else max(1, int(jobs))
     started = _time.monotonic()
     done = 0
 
     def report(final: bool = False) -> None:
-        if not _PROGRESS:
+        if not effective.progress:
             return
         elapsed = _time.monotonic() - started
         end = "\n" if final else "\r"
@@ -1084,9 +1037,8 @@ def run_cells(
             own_pool = SupervisedPool(
                 PoolConfig(
                     workers=min(jobs, len(pending)),
-                    heartbeat=_POOL_HEARTBEAT,
-                    cell_deadline=_WORKER_DEADLINE,
-                    breaker_threshold=_BREAKER_THRESHOLD,
+                    cell_deadline=effective.worker_deadline,
+                    breaker_threshold=effective.breaker_threshold,
                 )
             )
             active = own_pool
@@ -1119,13 +1071,13 @@ def run_cells(
                     elif isinstance(outcome, CellFailure):
                         # Pre-structured by the supervisor (poison cells):
                         # deliver under this call's on-error policy.
-                        results[i] = _deliver_failure(outcome, on_error)
+                        results[i] = _deliver_failure(outcome, policy)
                     else:
                         # The cell itself raised in its worker: the
                         # worker's attempt counts as the first, and any
                         # retry budget left runs here in the parent.
                         results[i] = _run_one(
-                            cells[i], prior=outcome, on_error=on_error
+                            cells[i], prior=outcome, policy=policy
                         )
         finally:
             if own_pool is not None:
@@ -1136,9 +1088,9 @@ def run_cells(
                 with obs.tracer.wall_span(
                     "experiments", _cell_label(cells[i]), group=label
                 ):
-                    results[i] = _run_one(cells[i], on_error=on_error)
+                    results[i] = _run_one(cells[i], policy=policy)
             else:
-                results[i] = _run_one(cells[i], on_error=on_error)
+                results[i] = _run_one(cells[i], policy=policy)
             done += 1
             report()
     if cells:

@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--retries",
         type=int,
-        default=None,
+        default=common.ExecutionPolicy.retries,
         metavar="N",
         help=(
             "re-run transiently failing cells up to N times (default: 1); "
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--breaker-threshold",
         type=int,
-        default=None,
+        default=common.ExecutionPolicy.breaker_threshold,
         metavar="N",
         help=(
             "worker crashes on one cell before it is quarantined as a "
@@ -335,49 +335,40 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
 
-    if args.jobs is not None:
-        common.set_default_jobs(args.jobs)
     if args.no_cache:
         common.set_cache_enabled(False)
     if args.cache_dir:
         common.set_cache_dir(args.cache_dir)
-    if args.cache_quota_mb is not None:
-        common.set_cache_quota(int(args.cache_quota_mb * 1024 * 1024))
-        common.enforce_cache_quota()
-    common.set_progress(not args.no_progress and sys.stderr.isatty())
-
-    if args.chaos is not None:
-        try:
-            common.set_default_chaos(
-                parse_chaos_spec(args.chaos, seed=args.chaos_seed)
-            )
-        except ReproError as exc:
-            parser.error(str(exc))
-    if args.invariants:
-        common.set_default_invariants(True)
-    if args.cell_timeout is not None:
-        common.set_cell_timeout(args.cell_timeout)
-    if args.retries is not None:
-        common.set_retry_policy(args.retries)
-    if args.worker_deadline is not None or args.breaker_threshold is not None:
-        common.set_pool_policy(
-            deadline=args.worker_deadline,
-            breaker_threshold=args.breaker_threshold,
-        )
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
-    if args.checkpoint_dir:
-        try:
-            common.set_checkpoint_policy(
-                args.checkpoint_dir,
-                every=args.checkpoint_every,
-                resume=args.resume,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
     keep_going = args.keep_going or args.failure_dir is not None
-    if keep_going:
-        common.set_on_error("keep-going")
+    try:
+        if args.cache_quota_mb is not None:
+            common.set_cache_quota(
+                common.quota_bytes(args.cache_quota_mb, "--cache-quota-mb")
+            )
+        jobs = common.policy().jobs if args.jobs is None else max(1, args.jobs)
+        chaos = None
+        if args.chaos is not None:
+            chaos = parse_chaos_spec(args.chaos, seed=args.chaos_seed)
+        policy = common.ExecutionPolicy(
+            jobs=jobs,
+            progress=not args.no_progress and sys.stderr.isatty(),
+            chaos=chaos,
+            invariants=args.invariants,
+            cell_timeout=args.cell_timeout,
+            checkpoint_dir=args.checkpoint_dir or None,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            retries=args.retries,
+            on_error="keep-going" if keep_going else "raise",
+            # A non-positive deadline means none, as it always has.
+            worker_deadline=max(args.worker_deadline or 0, 0) or None,
+            breaker_threshold=args.breaker_threshold,
+        )
+    except (ReproError, ValueError) as exc:
+        parser.error(str(exc))
+    common.enforce_cache_quota()
 
     analytics = bool(args.analytics_out or args.features_out)
     obs_mode = args.obs
@@ -395,7 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
     previous_obs = obs_mod.install(obs) if obs is not None else None
-    if obs is not None and (args.jobs or 0) > 1 and args.trace_out:
+    previous_policy = common.policy()
+    common.set_policy(policy)
+    if obs is not None and policy.jobs > 1 and args.trace_out:
         print(
             "note: cells dispatched to worker processes appear as one "
             "fan-out span; run with --jobs 1 for full per-cell sim tracks",
@@ -502,6 +495,7 @@ def main(argv: list[str] | None = None) -> int:
                     total = sum(len(run.batches) for run in runs)
                     print(f"features: {total} batches -> {path}")
     finally:
+        common.set_policy(previous_policy)
         if obs is not None:
             obs_mod.install(previous_obs)
     return exit_code

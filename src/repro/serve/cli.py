@@ -16,7 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.serve.server import ServeConfig, main_loop
+from repro.chaos import parse_chaos_spec
+from repro.errors import ReproError
+from repro.experiments.common import quota_bytes
+from repro.serve.server import ReproServer, ServeConfig, main_loop
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,25 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ServeConfig:
     quota = None
     if args.cache_quota_mb is not None:
-        quota = int(args.cache_quota_mb * 1024 * 1024)
+        quota = quota_bytes(args.cache_quota_mb, "--cache-quota-mb")
     pool_chaos = None
     if args.pool_chaos:
-        from repro.chaos import PROCESS_KINDS, parse_chaos_spec
-
         pool_chaos = parse_chaos_spec(
             args.pool_chaos, seed=args.pool_chaos_seed
         )
-        foreign = [
-            s.kind
-            for s in pool_chaos.injectors
-            if s.kind not in PROCESS_KINDS
-        ]
-        if foreign:
-            raise SystemExit(
-                f"repro-serve: --pool-chaos accepts process-level kinds "
-                f"only (got {foreign}; use --chaos in run requests for "
-                f"simulation-level injectors)"
-            )
     return ServeConfig(
         host=args.host,
         port=args.port,
@@ -196,8 +186,13 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return main_loop(config_from_args(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        server = ReproServer(config_from_args(args))
+    except (ReproError, ValueError) as exc:
+        parser.error(str(exc))
+    return main_loop(server)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 from repro import systems
 from repro.errors import CellFailure, ProtocolError, ServeError
-from repro.experiments.common import MAX_EVENTS, RunSpec
+from repro.experiments.common import MAX_EVENTS, ExecutionPolicy, RunSpec
 from repro.simulator import SimulationResult
 from repro.workloads.registry import SCALES, workload_names
 
@@ -148,19 +148,16 @@ def _type_names(types: tuple[type, ...]) -> str:
 
 
 def spec_from_request(
-    fields: Mapping[str, Any],
-    cell_timeout: float | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 1,
+    fields: Mapping[str, Any], policy: ExecutionPolicy | None = None
 ) -> RunSpec:
-    """Build the resolved :class:`RunSpec` for a validated request.
+    """Build the :class:`RunSpec` for a validated request, resolved under
+    the *server's* ``policy`` (default: the process policy).
 
-    ``cell_timeout``/``checkpoint_dir`` are the *server's* defaults: a
-    request ``timeout`` tightens (never loosens) the server budget, and
-    checkpointing rides on PR 7's machinery — a stalled cell checkpoints
-    and a re-request resumes it (``resume=True`` whenever a checkpoint
-    directory is configured).
+    A request ``timeout`` tightens (never loosens) the policy's
+    ``cell_timeout``; the policy's checkpoint settings make a stalled
+    cell checkpoint so that a re-request resumes it.
     """
+    cell_timeout = policy.cell_timeout if policy is not None else None
     budgets = [
         b for b in (fields.get("timeout"), cell_timeout) if b is not None
     ]
@@ -174,10 +171,7 @@ def spec_from_request(
         seed=fields["seed"],
         max_events=fields["max_events"],
         wall_budget_seconds=wall,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        resume=checkpoint_dir is not None,
-    ).resolved()
+    ).resolved(policy)
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.chaos.config import PROCESS_KINDS, split_process_chaos
 from repro.errors import (
     CellFailure,
+    ConfigError,
     ServerSaturatedError,
     ServerShutdownError,
 )
@@ -141,6 +143,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
+        self.policy = _policy_from_config(self.config)
         self.metrics = ServeMetrics()
         self.port: int | None = None
         self.started_at = time.monotonic()
@@ -207,13 +210,10 @@ class ReproServer:
 
             self._pool = SupervisedPool(
                 PoolConfig(
-                    workers=max(1, self.config.jobs),
+                    workers=self.policy.jobs,
                     heartbeat=self.config.worker_heartbeat,
-                    cell_deadline=self.config.worker_deadline,
-                    breaker_threshold=self.config.breaker_threshold,
-                    checkpoint_dir=self.config.checkpoint_dir,
-                    checkpoint_every=self.config.checkpoint_every,
-                    chaos=self.config.pool_chaos,
+                    cell_deadline=self.policy.worker_deadline,
+                    breaker_threshold=self.policy.breaker_threshold,
                 )
             )
             self._pool.start()
@@ -316,12 +316,7 @@ class ReproServer:
         """
         if self._draining:
             raise ServerShutdownError("server is draining; request refused")
-        spec = spec_from_request(
-            fields,
-            cell_timeout=self.config.cell_timeout,
-            checkpoint_dir=self.config.checkpoint_dir,
-            checkpoint_every=self.config.checkpoint_every,
-        )
+        spec = spec_from_request(fields, self.policy)
         key = common._memo_key(spec)
 
         existing = self._inflight.get(key)
@@ -331,7 +326,7 @@ class ReproServer:
 
         use_cache = not (self.config.no_cache or fields["no_cache"])
         if use_cache:
-            hit = common.probe_cache(spec)
+            hit = common.probe_cache(spec, policy=self.policy)
             if hit is not None:
                 self.metrics.cache_hit()
                 return None, hit, False
@@ -475,8 +470,9 @@ class ReproServer:
 
         Tickets are partitioned by their cache policy (a ``no_cache``
         request must neither read nor write the shared store); each
-        partition rides one ``run_cells`` call with local keep-going
-        semantics so one failing cell never poisons its batchmates.
+        partition rides one ``run_cells`` call under the server's
+        keep-going policy so one failing cell never poisons its
+        batchmates.
         """
         outcomes: list = [None] * len(batch)
         for use_cache in (True, False):
@@ -487,10 +483,9 @@ class ReproServer:
                 continue
             results = common.run_cells(
                 [batch[i].spec for i in indices],
-                jobs=self.config.jobs,
                 use_cache=use_cache,
                 label="serve",
-                on_error="keep-going",
+                policy=self.policy,
                 pool=self._pool,
             )
             for i, result in zip(indices, results):
@@ -543,13 +538,35 @@ class ReproServer:
         }
 
 
-def main_loop(config: ServeConfig) -> int:
-    """Blocking entry used by the CLI: run one server until drained."""
-    server = ReproServer(config)
+def _policy_from_config(config: ServeConfig) -> common.ExecutionPolicy:
+    """The server's own policy; its chaos must be process-level only, as
+    simulation-level kinds would change what a request computes."""
+    sim_chaos, _ = split_process_chaos(config.pool_chaos)
+    if sim_chaos is not None:
+        raise ConfigError(
+            "pool chaos accepts process-level kinds only",
+            rejected=[s.kind for s in sim_chaos.injectors],
+            accepted=sorted(PROCESS_KINDS),
+        )
+    return common.ExecutionPolicy(
+        jobs=max(1, config.jobs),
+        chaos=config.pool_chaos,
+        cell_timeout=config.cell_timeout,
+        checkpoint_dir=config.checkpoint_dir,
+        checkpoint_every=config.checkpoint_every,
+        resume=config.checkpoint_dir is not None,
+        on_error="keep-going",
+        worker_deadline=config.worker_deadline,
+        breaker_threshold=config.breaker_threshold,
+    )
+
+
+def main_loop(server: ReproServer) -> int:
+    """Blocking entry used by the CLI: run ``server`` until drained."""
     try:
         server.run()
     except KeyboardInterrupt:
         server.request_shutdown()
-    if config.announce:
+    if server.config.announce:
         print("repro-serve drained cleanly", file=sys.stderr, flush=True)
     return 0

@@ -4,8 +4,8 @@ Process-level recovery (real ``kill -9``, hang escalation, bit-identical
 resume) lives in ``test_pool_recovery.py``; the pool-backed server in
 ``test_pool_serve.py``.  This module covers the deterministic plumbing:
 
-* :class:`~repro.pool.PoolConfig` validation (including the rule that
-  pool chaos accepts process-level kinds only).
+* :class:`~repro.pool.PoolConfig` validation, and the server's rule that
+  its pool chaos accepts process-level kinds only.
 * Chaos routing: ``worker-*`` kinds split out of a mixed ``--chaos``
   spec before it can touch the cache key, and per-attempt plans are
   deterministic in (seed, key digest, attempt).
@@ -50,7 +50,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 
 @pytest.fixture()
 def harness(tmp_path):
-    """Isolated cache + pristine pool/retry policy, restored after."""
+    """Isolated cache + pristine execution policy, restored after."""
+    saved = common.policy()
+    common.set_policy(common.ExecutionPolicy())
     common.clear_run_cache()
     common.reset_cache_stats()
     common.set_cache_dir(tmp_path / "cache")
@@ -59,13 +61,12 @@ def harness(tmp_path):
     yield tmp_path
     common.set_cache_dir(None)
     common.set_cache_enabled(True)
-    common.set_on_error("raise")
-    common.set_retry_policy(1)
-    common.set_default_chaos(None)
-    common.set_pool_chaos(None)
-    common.set_pool_policy(heartbeat=0.25, deadline=0, breaker_threshold=5)
+    common.set_policy(saved)
     common.drain_failures()
     common.clear_run_cache()
+
+
+KEEP_GOING = common.ExecutionPolicy(on_error="keep-going")
 
 
 def _spec(workload="KCORE", preset=systems.BASELINE, **kwargs):
@@ -102,7 +103,7 @@ class TestPoolConfig:
             dict(backoff_base=0.5, backoff_cap=0.1),
             dict(breaker_threshold=0),
             dict(spawn_fail_limit=0),
-            dict(checkpoint_every=0),
+            dict(term_grace=-1),
             dict(tick=0),
         ],
     )
@@ -111,9 +112,13 @@ class TestPoolConfig:
             PoolConfig(**bad)
 
     def test_simulation_chaos_kinds_rejected(self):
+        """The server's pool chaos must be process-level: simulation kinds
+        would change what its requests compute."""
+        from repro.serve.server import ReproServer, ServeConfig
+
         sim_chaos = parse_chaos_spec("dma-stall:prob=0.5", seed=1)
         with pytest.raises(ConfigError, match="process-level"):
-            PoolConfig(chaos=sim_chaos)
+            ReproServer(ServeConfig(pool_chaos=sim_chaos))
 
     def test_heartbeat_none_disables_supervision(self):
         config = PoolConfig(heartbeat=None)
@@ -249,22 +254,23 @@ class TestSupervisedPool:
         assert pool.stats()["failed"] == 1
         assert pool.stats()["crashes"] == 0, "a raising cell is not a crash"
 
-    def test_pool_injects_checkpoint_policy(self, harness, tmp_path):
+    def test_policy_checkpoints_let_killed_cells_resume(
+        self, harness, tmp_path
+    ):
         ckpt = tmp_path / "pool-ckpt"
-        chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=3)
-        config = PoolConfig(
-            workers=1,
+        policy = common.ExecutionPolicy(
             checkpoint_dir=str(ckpt),
-            chaos=chaos,
-            breaker_threshold=100,
-            **FAST_POOL,
+            chaos=parse_chaos_spec("worker-kill:prob=1,after=1", seed=3),
         )
         golden = common._simulate_spec(_spec().resolved())
+        config = PoolConfig(workers=1, breaker_threshold=100, **FAST_POOL)
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec().resolved()])
+            (result,) = common.run_cells(
+                [_spec()], use_cache=False, policy=policy, pool=pool
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["resumes"] > 0, (
-            "a bare spec must pick up the pool's checkpoint policy"
+            "a bare spec must pick up the policy's checkpoint directory"
         )
         assert not list(ckpt.glob("*")), "no checkpoint litter on success"
 
@@ -284,14 +290,8 @@ class TestCircuitBreaker:
     def test_repeated_crashes_quarantine_the_key(self, harness, tmp_path):
         ckpt = tmp_path / "ckpt"
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=5)
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
-            breaker_threshold=2,
-            **FAST_POOL,
-        )
-        spec = _spec().resolved()
+        config = PoolConfig(workers=1, breaker_threshold=2, **FAST_POOL)
+        spec = _spec(checkpoint_dir=str(ckpt), chaos=chaos).resolved()
         with SupervisedPool(config) as pool:
             (outcome,) = pool.run([spec])
             assert isinstance(outcome, PoisonCellError)
@@ -319,20 +319,16 @@ class TestCircuitBreaker:
         chaos (one crash per submission, every submission completing) is
         never quarantined."""
         chaos = parse_chaos_spec("worker-kill:prob=0.5,after=1", seed=0)
-        spec = _spec().resolved()
+        spec = _spec(
+            checkpoint_dir=str(tmp_path / "ckpt"), chaos=chaos
+        ).resolved()
         digest = common._spec_digest(spec)
         # The scenario this seed pins: the first attempt (stream 0) is
         # killed, the retry is spared — every submission crashes exactly
         # once, then completes.
         assert plan_worker_chaos(chaos, digest, 0) == {"kill_at": 1}
         assert plan_worker_chaos(chaos, digest, 1) is None
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            chaos=chaos,
-            breaker_threshold=2,
-            **FAST_POOL,
-        )
+        config = PoolConfig(workers=1, breaker_threshold=2, **FAST_POOL)
         with SupervisedPool(config) as pool:
             for _ in range(3):
                 (outcome,) = pool.run([spec])
@@ -344,22 +340,19 @@ class TestCircuitBreaker:
 
     def test_poison_cell_respects_on_error_policy(self, harness, tmp_path):
         chaos = parse_chaos_spec("worker-kill:prob=1,after=1", seed=5)
-        config = PoolConfig(
-            workers=1,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            chaos=chaos,
-            breaker_threshold=1,
-            **FAST_POOL,
-        )
-        spec = _spec()
+        config = PoolConfig(workers=1, breaker_threshold=1, **FAST_POOL)
+        spec = _spec(checkpoint_dir=str(tmp_path / "ckpt"), chaos=chaos)
         with SupervisedPool(config) as pool:
             with pytest.raises(CellFailure):
                 common.run_cells([spec], use_cache=False, pool=pool)
         with SupervisedPool(config) as pool:
             (slot,) = common.run_cells(
-                [spec], use_cache=False, pool=pool, on_error="keep-going"
+                [spec], use_cache=False, pool=pool, policy=KEEP_GOING
             )
             assert isinstance(slot, PoisonCellError)
+        assert common.drain_failures() == [], (
+            "an explicit policy's failures stay in their result slots"
+        )
 
     def test_poison_cell_pickles_and_serializes(self):
         import pickle
@@ -442,7 +435,7 @@ class TestBrokenPoolPath:
         specs = [_spec()]
         results = common.run_cells(
             specs, use_cache=False, pool=_Hopeless([], [], []),
-            on_error="keep-going",
+            policy=KEEP_GOING,
         )
         (failure,) = results
         assert isinstance(failure, CellFailure)
@@ -481,7 +474,7 @@ class TestBrokenPoolPath:
 
         monkeypatch.setattr(common, "_simulate_spec", _oom)
         (failure,) = common.run_cells(
-            [_spec()], jobs=1, use_cache=False, on_error="keep-going"
+            [_spec()], jobs=1, use_cache=False, policy=KEEP_GOING
         )
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "MemoryError"

@@ -86,8 +86,6 @@ class TestHardKill:
             heartbeat=0.05,
             term_grace=0.2,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=slow,
             breaker_threshold=100,
         )
         pool = SupervisedPool(config)
@@ -110,7 +108,9 @@ class TestHardKill:
         with pool:
             thread = threading.Thread(target=assassin, daemon=True)
             thread.start()
-            (result,) = pool.run([_spec(backend=backend)])
+            (result,) = pool.run(
+                [_spec(backend=backend, checkpoint_dir=str(ckpt), chaos=slow)]
+            )
             thread.join(timeout=30)
 
         assert killed["pid"] is not None, "the assassin never fired"
@@ -136,12 +136,12 @@ class TestHardKill:
             heartbeat=0.05,
             term_grace=0.2,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
             breaker_threshold=100,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["crashes"] >= 1
         assert not list(ckpt.glob("*"))
@@ -158,12 +158,12 @@ class TestEscalation:
             miss_budget=4.0,
             term_grace=0.2,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
             breaker_threshold=100,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         stats = pool.stats()
         assert stats["heartbeat_misses"] >= 1, "hang must be seen as silence"
@@ -186,12 +186,12 @@ class TestEscalation:
             cell_deadline=1.0,
             term_grace=0.1,
             backoff_base=0.01,
-            checkpoint_dir=str(ckpt),
-            chaos=chaos,
             breaker_threshold=100,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(ckpt), chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["deadline_kills"] >= 1
         assert not list(ckpt.glob("*"))
@@ -205,11 +205,11 @@ class TestSlow:
             workers=1,
             heartbeat=0.05,
             backoff_base=0.01,
-            checkpoint_dir=str(harness / "slow"),
-            chaos=chaos,
         )
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run(
+                [_spec(checkpoint_dir=str(harness / "slow"), chaos=chaos)]
+            )
         assert _fields(result) == _fields(golden)
         assert pool.stats()["crashes"] == 0
 
@@ -224,10 +224,10 @@ class TestSlow:
             miss_budget=8.0,  # 0.4s of silence = hung; delays are 50ms
             term_grace=0.2,
             backoff_base=0.01,
-            chaos=chaos,
         )
+        spec = _spec(checkpoint_dir=str(harness / "hb"), chaos=chaos)
         with SupervisedPool(config) as pool:
-            (result,) = pool.run([_spec()])
+            (result,) = pool.run([spec])
         assert isinstance(result, SimulationResult)
         assert pool.stats()["heartbeat_misses"] == 0
         assert pool.stats()["sigkills"] == 0
@@ -255,10 +255,11 @@ class TestRunCellsKillIntegration:
         # silence) and a high breaker threshold: on a loaded machine a
         # tight miss budget can spuriously escalate slow-but-alive
         # workers, and this test pins bit-identity, not the breaker.
-        common.set_pool_policy(breaker_threshold=100)
-        try:
-            out = common.run_cells(chaotic, jobs=2, use_cache=False)
-        finally:
-            common.set_pool_policy(breaker_threshold=5)
+        out = common.run_cells(
+            chaotic,
+            jobs=2,
+            use_cache=False,
+            policy=common.ExecutionPolicy(breaker_threshold=100),
+        )
         assert [_fields(r) for r in out] == [_fields(r) for r in golden]
         assert not list(ckpt.glob("*")), "chaotic sweep left orphans"

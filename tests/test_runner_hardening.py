@@ -1,5 +1,7 @@
 """Self-healing experiment runner: retries, keep-going, cache quarantine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import systems
@@ -12,7 +14,9 @@ FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
 
 @pytest.fixture()
 def harness(tmp_path):
-    """Isolated cache plus pristine failure/retry policy, restored after."""
+    """Isolated cache plus pristine execution policy, restored after."""
+    saved = common.policy()
+    common.set_policy(common.ExecutionPolicy())
     common.clear_run_cache()
     common.reset_cache_stats()
     common.set_cache_dir(tmp_path)
@@ -21,13 +25,14 @@ def harness(tmp_path):
     yield tmp_path
     common.set_cache_dir(None)
     common.set_cache_enabled(True)
-    common.set_on_error("raise")
-    common.set_retry_policy(1)
-    common.set_cell_timeout(None)
-    common.set_default_chaos(None)
-    common.set_default_invariants(False)
+    common.set_policy(saved)
     common.drain_failures()
     common.clear_run_cache()
+
+
+def use_policy(**fields):
+    """Patch the process policy for the rest of the test."""
+    common.set_policy(replace(common.policy(), **fields))
 
 
 def specs(*chaos_slots):
@@ -78,7 +83,7 @@ class TestQuarantine:
 
 class TestOnErrorPolicy:
     def test_raise_policy_aborts_with_structured_failure(self, harness):
-        common.set_default_chaos(FAILING_CHAOS)
+        use_policy(chaos=FAILING_CHAOS)
         with pytest.raises(CellFailure) as excinfo:
             common.run_system(systems.BASELINE, "BFS-TTC", scale="tiny")
         failure = excinfo.value
@@ -88,7 +93,7 @@ class TestOnErrorPolicy:
         assert failure.__cause__ is not None  # chained to the original
 
     def test_keep_going_serial_sweep_completes(self, harness):
-        common.set_on_error("keep-going")
+        use_policy(on_error="keep-going")
         results = common.run_cells(specs(False, True, False), jobs=1)
         assert [common.is_failure(r) for r in results] == [False, True, False]
         failures = common.drain_failures()
@@ -97,19 +102,19 @@ class TestOnErrorPolicy:
         assert common.drain_failures() == []  # drained exactly once
 
     def test_keep_going_parallel_sweep_completes(self, harness):
-        common.set_on_error("keep-going")
+        use_policy(on_error="keep-going")
         results = common.run_cells(specs(True, False, False), jobs=2)
         assert [common.is_failure(r) for r in results] == [True, False, False]
         assert len(common.drain_failures()) == 1
 
     def test_failed_cells_are_never_cached(self, harness):
-        common.set_on_error("keep-going")
+        use_policy(on_error="keep-going")
         results = common.run_cells(specs(False, True, False), jobs=1)
         successes = sum(not common.is_failure(r) for r in results)
         assert len(list(harness.glob("*.pkl"))) == successes
 
     def test_failure_record_serializes(self, harness):
-        common.set_on_error("keep-going")
+        use_policy(on_error="keep-going")
         common.run_cells(specs(True), jobs=1)
         (failure,) = common.drain_failures()
         record = failure.to_dict()
@@ -131,7 +136,8 @@ class TestRetryPolicy:
             return real(spec)
 
         monkeypatch.setattr(common, "_simulate_spec", flaky)
-        common.set_retry_policy(2, backoff=0.0)
+        monkeypatch.setattr(common, "_RETRY_BACKOFF", 0.0)
+        use_policy(retries=2)
         result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert result.exec_cycles > 0
         assert len(calls) == 2
@@ -144,8 +150,8 @@ class TestRetryPolicy:
             raise SimulationError("same bits, same crash")
 
         monkeypatch.setattr(common, "_simulate_spec", broken)
-        common.set_retry_policy(5, backoff=0.0)
-        common.set_on_error("keep-going")
+        monkeypatch.setattr(common, "_RETRY_BACKOFF", 0.0)
+        use_policy(retries=5, on_error="keep-going")
         result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert common.is_failure(result)
         assert len(calls) == 1, "re-running a deterministic failure is waste"
@@ -158,8 +164,8 @@ class TestRetryPolicy:
             raise OSError("the disk is on fire")
 
         monkeypatch.setattr(common, "_simulate_spec", always_flaky)
-        common.set_retry_policy(2, backoff=0.0)
-        common.set_on_error("keep-going")
+        monkeypatch.setattr(common, "_RETRY_BACKOFF", 0.0)
+        use_policy(retries=2, on_error="keep-going")
         result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
         assert common.is_failure(result)
         assert result.error_type == "OSError"
@@ -170,7 +176,7 @@ class TestRetryPolicy:
             raise ValueError("a bug, not a cell failure")
 
         monkeypatch.setattr(common, "_simulate_spec", buggy)
-        common.set_on_error("keep-going")
+        use_policy(on_error="keep-going")
         with pytest.raises(ValueError):
             common.run_system(systems.BASELINE, "KCORE", scale="tiny")
 
@@ -179,8 +185,7 @@ class TestCellTimeout:
     # ratio=0.5 keeps the cell above the watchdog's 8192-event sampling
     # interval; a shorter run finishes before the deadline is ever read.
     def test_timeout_becomes_structured_failure(self, harness):
-        common.set_cell_timeout(1e-9)
-        common.set_on_error("keep-going")
+        use_policy(cell_timeout=1e-9, on_error="keep-going")
         result = common.run_system(
             systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
         )
@@ -188,7 +193,7 @@ class TestCellTimeout:
         assert result.error_type == "SimulationStalledError"
 
     def test_timeout_raises_under_default_policy(self, harness):
-        common.set_cell_timeout(1e-9)
+        use_policy(cell_timeout=1e-9)
         with pytest.raises(CellFailure) as excinfo:
             common.run_system(
                 systems.BASELINE, "BFS-TTC", scale="tiny", ratio=0.5
@@ -199,26 +204,40 @@ class TestCellTimeout:
 class TestPolicyDefaults:
     def test_resolved_fills_policy_defaults(self, harness):
         chaos = parse_chaos_spec("drop-fault:prob=0.1", seed=5)
-        common.set_default_chaos(chaos)
-        common.set_default_invariants(True)
-        common.set_cell_timeout(30.0)
+        use_policy(chaos=chaos, invariants=True, cell_timeout=30.0)
         spec = common.RunSpec("KCORE", preset=systems.BASELINE).resolved()
         assert spec.chaos == chaos
         assert spec.check_invariants is True
         assert spec.wall_budget_seconds == 30.0
 
     def test_explicit_spec_beats_defaults(self, harness):
-        common.set_default_chaos(FAILING_CHAOS)
+        use_policy(chaos=FAILING_CHAOS)
         other = parse_chaos_spec("dup-fault:prob=0.2", seed=1)
         spec = common.RunSpec(
             "KCORE", preset=systems.BASELINE, chaos=other
         ).resolved()
         assert spec.chaos == other
 
-    def test_setter_validation(self):
+    def test_explicit_policy_beats_process_policy(self, harness):
+        use_policy(invariants=True, cell_timeout=30.0)
+        own = common.ExecutionPolicy(cell_timeout=5.0)
+        spec = common.RunSpec("KCORE", preset=systems.BASELINE).resolved(own)
+        assert spec.check_invariants is False
+        assert spec.wall_budget_seconds == 5.0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(cell_timeout=0),
+            dict(retries=-1),
+            dict(checkpoint_every=0),
+            dict(breaker_threshold=0),
+            dict(on_error="shrug"),
+            dict(jobs=0),
+            dict(worker_deadline=0),
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_policy_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
-            common.set_cell_timeout(0)
-        with pytest.raises(ValueError):
-            common.set_retry_policy(-1)
-        with pytest.raises(ValueError):
-            common.set_on_error("shrug")
+            common.ExecutionPolicy(**bad)
