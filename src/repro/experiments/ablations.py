@@ -13,11 +13,11 @@ Not figures from the paper — these probe the knobs the paper fixes:
   migrations (Section 4.2 cites D2H being the faster direction).
 * ``to-degree`` — the maximum thread-oversubscription degree.
 
-Every run goes through :func:`repro.experiments.common.run_config` /
+Every run goes through :func:`repro.experiments.common.run_cells` /
 :func:`~repro.experiments.common.run_matrix`, so ablation cells share the
 persistent run cache and fan out across ``--jobs`` workers like the paper
-figures: each ``run_*`` first dispatches its full cell set, then assembles
-the table from cache hits.
+figures: each ``run_*`` dispatches its full cell set in one call and
+assembles the table from the results it returns.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.experiments.common import (
     half_ratio,
     is_failure,
     run_cells,
-    run_config,
     run_matrix,
 )
 from repro.workloads.registry import build_workload
@@ -39,21 +38,22 @@ from repro.workloads.registry import build_workload
 DEFAULT_WORKLOADS = ("BFS-TTC", "BFS-TWC", "KCORE", "PR")
 
 
-def _run(workload: str, config, scale: str) -> int | None:
-    """Exec cycles for one cell, or ``None`` if it failed (keep-going)."""
-    result = run_config(workload, config, scale=scale)
+def _cycles(result) -> int | None:
+    """Exec cycles of one cell, or ``None`` if it failed (keep-going)."""
     return None if is_failure(result) else result.exec_cycles
 
 
-def _prewarm(named_configs, scale: str, label: str) -> None:
-    """Fan out a list of (workload-name, SimConfig) cells."""
-    run_cells(
+def _fan_out(cells: dict, scale: str, label: str) -> dict:
+    """Run ``{key: (workload-name, SimConfig)}`` cells in one fan-out;
+    returns ``{key: result}``."""
+    results = run_cells(
         [
             RunSpec(name, config=config, scale=scale)
-            for name, config in named_configs
+            for name, config in cells.values()
         ],
         label=label,
     )
+    return dict(zip(cells, results))
 
 
 def run_replacement(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> ExperimentResult:
@@ -67,7 +67,7 @@ def run_replacement(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> Experim
             "driver cannot see accesses, so aged LRU is what ships."
         ),
     )
-    configs: dict[tuple[str, str], tuple] = {}
+    cells: dict[tuple[str, str, str], tuple] = {}
     for name in workloads:
         workload = build_workload(name, scale=scale)
         for column, preset in (("baseline", systems.BASELINE),
@@ -76,18 +76,14 @@ def run_replacement(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> Experim
             accessed = replace(
                 aged, uvm=replace(aged.uvm, replacement_policy="access-lru")
             )
-            configs[(name, column)] = (aged, accessed)
-    _prewarm(
-        [(name, cfg) for (name, _), pair in configs.items() for cfg in pair],
-        scale,
-        "abl-replacement",
-    )
+            cells[(name, column, "aged")] = (name, aged)
+            cells[(name, column, "accessed")] = (name, accessed)
+    runs = _fan_out(cells, scale, "abl-replacement")
     for name in workloads:
         row = {}
         for column in ("baseline", "to_ue"):
-            aged, accessed = configs[(name, column)]
-            aged_cycles = _run(name, aged, scale)
-            accessed_cycles = _run(name, accessed, scale)
+            aged_cycles = _cycles(runs[(name, column, "aged")])
+            accessed_cycles = _cycles(runs[(name, column, "accessed")])
             if aged_cycles is None or accessed_cycles is None:
                 break  # keep-going sweeps: skip rows with failed cells
             row[column] = aged_cycles / accessed_cycles
@@ -107,7 +103,7 @@ def run_prefetch(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> Experiment
         columns=["baseline", "to_ue", "prefetched_pages"],
         notes="The baseline system's prefetcher (Zheng et al.) vs. demand-only.",
     )
-    configs: dict[tuple[str, str], tuple] = {}
+    cells: dict[tuple[str, str, str], tuple] = {}
     for name in workloads:
         workload = build_workload(name, scale=scale)
         for column, preset in (("baseline", systems.BASELINE),
@@ -116,25 +112,19 @@ def run_prefetch(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> Experiment
             without = replace(
                 with_pf, uvm=replace(with_pf.uvm, prefetcher="none")
             )
-            configs[(name, column)] = (with_pf, without)
-    _prewarm(
-        [(name, cfg) for (name, _), pair in configs.items() for cfg in pair],
-        scale,
-        "abl-prefetch",
-    )
+            cells[(name, column, "with")] = (name, with_pf)
+            cells[(name, column, "without")] = (name, without)
+    runs = _fan_out(cells, scale, "abl-prefetch")
     for name in workloads:
         row = {}
         for column in ("baseline", "to_ue"):
-            with_pf, without = configs[(name, column)]
-            without_cycles = _run(name, without, scale)
-            with_cycles = _run(name, with_pf, scale)
+            without_cycles = _cycles(runs[(name, column, "without")])
+            with_cycles = _cycles(runs[(name, column, "with")])
             if without_cycles is None or with_cycles is None:
                 break  # keep-going sweeps: skip rows with failed cells
             row[column] = without_cycles / with_cycles
         else:
-            pf_run = run_config(name, configs[(name, "baseline")][0], scale=scale)
-            if is_failure(pf_run):
-                continue
+            pf_run = runs[(name, "baseline", "with")]
             row["prefetched_pages"] = pf_run.prefetched_pages
             result.add_row(name, **row)
     result.add_row(
@@ -163,7 +153,8 @@ def run_dirty(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> ExperimentRes
             "completely, so UE >= skip_clean and UE+skip ~= UE."
         ),
     )
-    configs: dict[str, tuple] = {}
+    variants = ("base", "skip", "ue", "ue_skip")
+    cells: dict[tuple[str, str], tuple] = {}
     for name in workloads:
         workload = build_workload(name, scale=scale)
         base_cfg = systems.BASELINE.configure(workload, ratio=half_ratio(scale))
@@ -175,18 +166,13 @@ def run_dirty(scale: str = "tiny", workloads=DEFAULT_WORKLOADS) -> ExperimentRes
         ue_skip_cfg = replace(
             ue_cfg, uvm=replace(ue_cfg.uvm, skip_clean_eviction_transfer=True)
         )
-        configs[name] = (base_cfg, skip_cfg, ue_cfg, ue_skip_cfg)
-    _prewarm(
-        [(name, cfg) for name, quad in configs.items() for cfg in quad],
-        scale,
-        "abl-dirty",
-    )
+        for variant, cfg in zip(
+            variants, (base_cfg, skip_cfg, ue_cfg, ue_skip_cfg)
+        ):
+            cells[(name, variant)] = (name, cfg)
+    runs = _fan_out(cells, scale, "abl-dirty")
     for name in workloads:
-        base_cfg, skip_cfg, ue_cfg, ue_skip_cfg = configs[name]
-        cycles = [
-            _run(name, cfg, scale)
-            for cfg in (base_cfg, skip_cfg, ue_cfg, ue_skip_cfg)
-        ]
+        cycles = [_cycles(runs[(name, variant)]) for variant in variants]
         if any(c is None for c in cycles):
             continue  # keep-going sweeps: skip rows with failed cells
         base, skip_cycles, ue_cycles, ue_skip_cycles = cycles
@@ -217,7 +203,7 @@ def run_bandwidth(scale: str = "tiny", workload: str = "BFS-TTC") -> ExperimentR
     )
     wl = build_workload(workload, scale=scale)
     factors = (0.5, 0.75, 1.0, 1.1, 1.5)
-    configs: dict[float, tuple] = {}
+    cells: dict[tuple[float, str], tuple] = {}
     for d2h_factor in factors:
         base_cfg = systems.BASELINE.configure(wl, ratio=half_ratio(scale))
         ue_cfg = systems.UE.configure(wl, ratio=half_ratio(scale))
@@ -228,16 +214,12 @@ def run_bandwidth(scale: str = "tiny", workload: str = "BFS-TTC") -> ExperimentR
         ue_cfg = replace(
             ue_cfg, uvm=replace(ue_cfg.uvm, pcie_d2h_gbps=h2d * d2h_factor)
         )
-        configs[d2h_factor] = (base_cfg, ue_cfg)
-    _prewarm(
-        [(workload, cfg) for pair in configs.values() for cfg in pair],
-        scale,
-        "abl-bandwidth",
-    )
+        cells[(d2h_factor, "base")] = (workload, base_cfg)
+        cells[(d2h_factor, "ue")] = (workload, ue_cfg)
+    runs = _fan_out(cells, scale, "abl-bandwidth")
     for d2h_factor in factors:
-        base_cfg, ue_cfg = configs[d2h_factor]
-        base_cycles = _run(workload, base_cfg, scale)
-        ue_cycles = _run(workload, ue_cfg, scale)
+        base_cycles = _cycles(runs[(d2h_factor, "base")])
+        ue_cycles = _cycles(runs[(d2h_factor, "ue")])
         if base_cycles is None or ue_cycles is None:
             continue  # keep-going sweeps: skip rows with failed cells
         result.add_row(
@@ -257,10 +239,11 @@ def run_to_degree(scale: str = "tiny", workload: str = "BFS-TTC") -> ExperimentR
     )
     wl = build_workload(workload, scale=scale)
     base_cfg = systems.BASELINE.configure(wl, ratio=half_ratio(scale))
-    configs: dict[int, object] = {}
-    for degree in (0, 1, 2, 3):
+    degrees = (0, 1, 2, 3)
+    cells: dict[object, tuple] = {"base": (workload, base_cfg)}
+    for degree in degrees:
         config = systems.TO_UE.configure(wl, ratio=half_ratio(scale))
-        configs[degree] = replace(
+        config = replace(
             config,
             to=replace(
                 config.to,
@@ -269,15 +252,11 @@ def run_to_degree(scale: str = "tiny", workload: str = "BFS-TTC") -> ExperimentR
                 max_extra_blocks=max(degree, 1),
             ),
         )
-    _prewarm(
-        [(workload, base_cfg)]
-        + [(workload, cfg) for cfg in configs.values()],
-        scale,
-        "abl-to-degree",
-    )
-    base_cycles = _run(workload, base_cfg, scale)
-    for degree, config in configs.items():
-        run_result = run_config(workload, config, scale=scale)
+        cells[degree] = (workload, config)
+    runs = _fan_out(cells, scale, "abl-to-degree")
+    base_cycles = _cycles(runs["base"])
+    for degree in degrees:
+        run_result = runs[degree]
         if base_cycles is None or is_failure(run_result):
             continue  # keep-going sweeps: skip rows with failed cells
         result.add_row(

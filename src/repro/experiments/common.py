@@ -176,13 +176,15 @@ class ExecutionPolicy:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
-    #: How many times a cell is re-run after a *transient* failure.
+    #: How many times a cell is re-run after a *transient* failure, in
+    #: the process that runs it.
     retries: int = 1
     #: What to do with a cell that keeps failing: "raise" aborts the
     #: sweep; "keep-going" records a CellFailure in its slot so the sweep
     #: completes with partial data.
     on_error: str = "raise"
-    #: Hard per-cell wall deadline enforced by an ephemeral pool's
+    #: Hard wall deadline on a cell's whole attempt sequence (retries and
+    #: their backoff included), enforced by an ephemeral pool's
     #: supervisor (None: rely on the in-simulation watchdog only).
     worker_deadline: float | None = None
     #: Crashes on one memo key before an ephemeral pool's circuit breaker
@@ -281,15 +283,19 @@ class RunSpec:
     #: never what it computes — a chaotic sweep shares cache entries
     #: with (and stays bit-identical to) a chaos-free one.
     pool_chaos: ChaosConfig | None = None
+    #: Transient-failure retry budget of :func:`execute_cell`, written by
+    #: :meth:`resolved` from the policy so it reaches pool workers with
+    #: the spec.  Not part of the cache key.
+    retries: int = 1
 
     def resolved(self, policy: ExecutionPolicy | None = None) -> "RunSpec":
         """Canonicalise so equal runs always produce equal cache keys:
         upper-case the workload name (the registry is case-insensitive),
         fill the scale-calibrated default ratio, apply ``policy`` (default:
-        the process policy) to every field the spec leaves unset, and
-        split process-level chaos kinds out of ``chaos`` into
-        ``pool_chaos`` so they can never contaminate ``SimConfig`` or a
-        cache key."""
+        the process policy) to every field the spec leaves unset, copy
+        its retry budget, and split process-level chaos kinds out of
+        ``chaos`` into ``pool_chaos`` so they can never contaminate
+        ``SimConfig`` or a cache key."""
         policy = policy or _POLICY
         chaos, pool_chaos = split_process_chaos(
             self.chaos if self.chaos is not None else policy.chaos
@@ -310,6 +316,7 @@ class RunSpec:
                 if self.wall_budget_seconds is not None
                 else policy.cell_timeout
             ),
+            retries=policy.retries,
         )
         if spec.checkpoint_dir is None and policy.checkpoint_dir is not None:
             spec = replace(
@@ -324,9 +331,10 @@ class RunSpec:
 def _memo_key(spec: RunSpec) -> tuple:
     """In-process cache key (matches the legacy ``_RUN_CACHE`` key plus
     ``max_events`` — a capped partial run must never satisfy a full one).
-    Checkpoint fields and ``pool_chaos`` are deliberately absent: resumed
-    runs and runs under process-level chaos produce results identical to
-    uninterrupted, chaos-free ones, so they share a cache entry."""
+    Checkpoint fields, ``pool_chaos`` and ``retries`` are deliberately
+    absent: resumed runs, retried runs and runs under process-level chaos
+    produce results identical to uninterrupted, chaos-free ones, so they
+    share a cache entry."""
     robustness = (spec.chaos, spec.check_invariants, spec.backend)
     if spec.config is not None:
         config_hash = hashlib.sha256(
@@ -371,6 +379,11 @@ _RETRY_BACKOFF = 0.25
 #: cell: :func:`run_cells` rebuilds the pool once and resubmits only the
 #: affected cells.
 _TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (OSError,)
+
+#: The error taxonomy of a cell: what becomes a structured
+#: :class:`~repro.errors.CellFailure`.  Anything else is a bug and
+#: propagates.
+_CELL_ERRORS = (ReproError, MemoryError, *_TRANSIENT_ERRORS)
 
 #: Worker-process-local hook called with each freshly built/restored
 #: simulator (after checkpoints are enabled): the mount point for
@@ -775,8 +788,7 @@ def _discard_checkpoint(path: pathlib.Path) -> None:
 
 
 def _simulate_spec(spec: RunSpec) -> SimulationResult:
-    """Execute one cell from scratch.  Runs in worker processes too, so it
-    must stay a module-level function of picklable arguments.
+    """Execute one attempt of a cell (see :func:`execute_cell`).
 
     The wall-clock budget rides inside the simulation (an engine
     watchdog), so per-cell timeouts work identically in the serial path
@@ -838,18 +850,11 @@ def _simulate_spec(spec: RunSpec) -> SimulationResult:
     return result
 
 
-def _record_failure(
-    spec: RunSpec,
-    exc: BaseException,
-    attempts: int,
-    policy: ExecutionPolicy | None = None,
+def _failure_record(
+    spec: RunSpec, exc: BaseException, attempts: int
 ) -> CellFailure:
-    """Convert a persistently failing cell into a structured record.
-
-    Under the default ``raise`` policy the record is *raised* (chained to
-    the original error) so a sweep still aborts loudly; under
-    ``keep-going`` it is appended to :data:`FAILURES` and returned to sit
-    in the cell's result slot."""
+    """A structured record of a cell that failed for good with ``exc``,
+    chained to it as its ``__cause__``."""
     failure = CellFailure(
         str(exc) or type(exc).__name__,
         workload=spec.workload,
@@ -865,22 +870,21 @@ def _record_failure(
     # resume the cell by hand even after the retry budget ran out.
     failure.flight_recorder = getattr(exc, "flight_recorder", None)
     failure.checkpoint_path = getattr(exc, "checkpoint_path", None)
-    return _deliver_failure(failure, policy, cause=exc)
+    failure.__cause__ = exc
+    return failure
 
 
 def _deliver_failure(
-    failure: CellFailure,
-    policy: ExecutionPolicy | None,
-    cause: BaseException | None = None,
+    failure: CellFailure, policy: ExecutionPolicy | None
 ) -> CellFailure:
     """Apply the on-error policy to a structured failure record.
 
-    Shared by :func:`_record_failure` (failures built here from raw
-    exceptions) and the pool path (failures built by the supervisor —
-    poison cells — that arrive pre-structured)."""
+    Under the default ``raise`` policy the record is *raised* so a sweep
+    still aborts loudly; under ``keep-going`` it is returned to sit in
+    the cell's result slot."""
     effective = policy or _POLICY
     if effective.on_error != "keep-going":
-        raise failure from cause
+        raise failure
     if policy is None:
         # Only the process policy accumulates into FAILURES (drained by
         # the CLI's sweep report); callers passing their own policy (the
@@ -897,7 +901,7 @@ def _deliver_failure(
     return failure
 
 
-def _resumable_stall(exc: BaseException | None, spec: RunSpec) -> bool:
+def _resumable_stall(exc: BaseException, spec: RunSpec) -> bool:
     """A watchdog stall that left a checkpoint behind is worth retrying:
     the retry resumes from the checkpoint instead of starting over, so
     each attempt makes forward progress even under a tight budget."""
@@ -908,46 +912,32 @@ def _resumable_stall(exc: BaseException | None, spec: RunSpec) -> bool:
     )
 
 
-def _run_one(
-    spec: RunSpec,
-    prior: BaseException | None = None,
-    policy: ExecutionPolicy | None = None,
-) -> SimulationResult | CellFailure:
-    """Run one cell under the retry/failure policy.
+def execute_cell(spec: RunSpec) -> SimulationResult:
+    """Run one resolved cell to completion: the only code that executes a
+    cell, in pool workers and in :func:`run_cells`' in-process path alike.
 
-    ``prior`` is an error the cell already produced elsewhere (a worker
-    process): it counts as the first attempt, so the bounded-retry budget
-    is shared between the parallel and serial paths.  Transient
-    infrastructure errors retry with exponential backoff; deterministic
-    simulator errors fail immediately (re-running would reproduce them) —
-    except a checkpointed stall, which retries *resuming* from the
-    checkpoint; anything outside the taxonomy propagates — it is a bug,
-    not a cell failure.  ``policy`` (default: the process policy)
-    supplies the retry budget and the on-error policy.
+    Transient infrastructure errors retry with exponential backoff, up to
+    ``spec.retries`` times; so does a checkpointed stall, which *resumes*
+    from its checkpoint.  Every other error of the taxonomy fails at once
+    (re-running a deterministic failure would reproduce it), and so does
+    ``MemoryError``: a cell that exhausts memory will exhaust it again.
+    A cell that fails for good raises a :class:`CellFailure`; anything
+    outside the taxonomy propagates — it is a bug, not a cell failure.
     """
     attempts = 0
-    last = prior
-    if last is not None:
-        attempts = 1
-        if _resumable_stall(last, spec):
-            spec = replace(spec, resume=True)
-    while last is None or (
-        (isinstance(last, _TRANSIENT_ERRORS) or _resumable_stall(last, spec))
-        and attempts <= (policy or _POLICY).retries
-    ):
-        if last is not None and _RETRY_BACKOFF:
-            _time.sleep(_RETRY_BACKOFF * (2 ** (attempts - 1)))
+    while True:
         attempts += 1
         try:
             return _simulate_spec(spec)
-        except (ReproError, MemoryError, *_TRANSIENT_ERRORS) as exc:
-            # MemoryError is caught (it becomes a structured CellFailure)
-            # but never retried: a cell that exhausts memory will simply
-            # exhaust it again.
-            last = exc
-            if _resumable_stall(exc, spec) and not spec.resume:
+        except _CELL_ERRORS as exc:
+            stalled = _resumable_stall(exc, spec)
+            transient = stalled or isinstance(exc, _TRANSIENT_ERRORS)
+            if not transient or attempts > spec.retries:
+                raise _failure_record(spec, exc, attempts)
+            if stalled:
                 spec = replace(spec, resume=True)
-    return _record_failure(spec, last, attempts, policy)
+            if _RETRY_BACKOFF:
+                _time.sleep(_RETRY_BACKOFF * 2 ** (attempts - 1))
 
 
 def run_cells(
@@ -962,8 +952,10 @@ def run_cells(
 
     The fan-out is transparent: each missing cell runs exactly the
     simulation the serial path would (same parameters, same seeds, fresh
-    deterministic engine), and results are merged back by index — so
-    ``jobs=N`` output is bit-identical to ``jobs=1``.
+    deterministic engine, same :func:`execute_cell`), and results are
+    merged back by index — so ``jobs=N`` output is bit-identical to
+    ``jobs=1``.  Each distinct memo key runs once per call; repeated
+    specs share its result (or its one failure record).
 
     Parallel cells execute in a crash-isolated
     :class:`repro.pool.SupervisedPool` (heartbeats, SIGTERM → SIGKILL
@@ -980,26 +972,32 @@ def run_cells(
     policy, :func:`policy`), and failing cells follow its retry and
     on-error settings: under ``keep-going`` a persistently failing
     cell's slot holds a :class:`~repro.errors.CellFailure` instead of a
-    result, and the sweep completes with partial data.  ``jobs``
-    overrides ``policy.jobs``; a caller-owned ``pool`` ignores the
-    policy's worker deadline and breaker threshold.
+    result, and the sweep completes with partial data.  An exception
+    outside the error taxonomy propagates, wherever the cell ran.
+    ``jobs`` overrides ``policy.jobs``; a caller-owned ``pool`` ignores
+    the policy's worker deadline and breaker threshold.
     """
     effective = policy or _POLICY
     cells = [cell.resolved(effective) for cell in cells]
     keys = [_memo_key(cell) for cell in cells]
     results: list[SimulationResult | None] = [None] * len(cells)
-    pending: list[int] = []
+    #: memo key of each cache miss -> every slot it fills.
+    pending: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
+        if key in pending:
+            pending[key].append(i)
+            continue
         hit = _cache_get(key, use_cache)
         if hit is not None:
             results[i] = hit
         else:
-            pending.append(i)
-    CACHE_STATS["misses"] += len(pending)
+            pending[key] = [i]
+    todo = [slots[0] for slots in pending.values()]
+    CACHE_STATS["misses"] += len(todo)
     obs = _obs_current()
-    if obs is not None and pending:
+    if obs is not None and todo:
         obs.metrics.counter("experiments.cache", outcome="misses").inc(
-            len(pending)
+            len(todo)
         )
 
     jobs = effective.jobs if jobs is None else max(1, int(jobs))
@@ -1012,20 +1010,35 @@ def run_cells(
         elapsed = _time.monotonic() - started
         end = "\n" if final else "\r"
         sys.stderr.write(
-            f"  [{label}] {len(cells) - len(pending) + done}/{len(cells)} "
-            f"cells ({len(cells) - len(pending)} cached, "
+            f"  [{label}] {len(cells) - len(todo) + done}/{len(cells)} "
+            f"cells ({len(cells) - len(todo)} cached, "
             f"{done} run, {elapsed:.1f}s){end}"
         )
         sys.stderr.flush()
 
+    def settle(i: int, outcome) -> None:
+        """File the outcome of cell ``i`` into every slot of its key."""
+        if isinstance(outcome, SimulationResult):
+            _cache_put(keys[i], outcome, use_cache)
+        else:
+            if not isinstance(outcome, _CELL_ERRORS):
+                raise outcome  # a bug in the cell, not a cell failure
+            if not isinstance(outcome, CellFailure):
+                # Raised by the pool, not the cell (a pool still broken
+                # after its rebuild, an unpicklable outcome): no retries.
+                outcome = _failure_record(cells[i], outcome, attempts=1)
+            outcome = _deliver_failure(outcome, policy)
+        for j in pending[keys[i]]:
+            results[j] = outcome
+
     report()
-    if pool is not None or (jobs > 1 and len(pending) > 1):
+    if pool is not None or (jobs > 1 and len(todo) > 1):
         # Worker processes have no obs session of their own: the fan-out
         # is summarised as one harness span (per-cell sim tracing needs
         # the serial path).
         if obs is not None:
             fan_out = obs.tracer.wall_span(
-                "experiments", f"{label} fan-out", cells=len(pending), jobs=jobs
+                "experiments", f"{label} fan-out", cells=len(todo), jobs=jobs
             )
         else:
             fan_out = nullcontext()
@@ -1036,7 +1049,7 @@ def run_cells(
 
             own_pool = SupervisedPool(
                 PoolConfig(
-                    workers=min(jobs, len(pending)),
+                    workers=min(jobs, len(todo)),
                     cell_deadline=effective.worker_deadline,
                     breaker_threshold=effective.breaker_threshold,
                 )
@@ -1050,7 +1063,7 @@ def run_cells(
 
         try:
             with fan_out:
-                specs = [cells[i] for i in pending]
+                specs = [cells[i] for i in todo]
                 outcomes = active.run(specs, on_done=on_cell_done)
                 broken = [
                     k for k, outcome in enumerate(outcomes)
@@ -1065,40 +1078,30 @@ def run_cells(
                     )
                     for k, outcome in zip(broken, retried):
                         outcomes[k] = outcome
-                for i, outcome in zip(pending, outcomes):
-                    if isinstance(outcome, SimulationResult):
-                        results[i] = outcome
-                    elif isinstance(outcome, CellFailure):
-                        # Pre-structured by the supervisor (poison cells):
-                        # deliver under this call's on-error policy.
-                        results[i] = _deliver_failure(outcome, policy)
-                    else:
-                        # The cell itself raised in its worker: the
-                        # worker's attempt counts as the first, and any
-                        # retry budget left runs here in the parent.
-                        results[i] = _run_one(
-                            cells[i], prior=outcome, policy=policy
-                        )
+                for i, outcome in zip(todo, outcomes):
+                    settle(i, outcome)
         finally:
             if own_pool is not None:
                 own_pool.close()
     else:
-        for i in pending:
-            if obs is not None:
-                with obs.tracer.wall_span(
+        for i in todo:
+            span = (
+                obs.tracer.wall_span(
                     "experiments", _cell_label(cells[i]), group=label
-                ):
-                    results[i] = _run_one(cells[i], policy=policy)
-            else:
-                results[i] = _run_one(cells[i], policy=policy)
+                )
+                if obs is not None
+                else nullcontext()
+            )
+            try:
+                with span:
+                    outcome = execute_cell(cells[i])
+            except CellFailure as failure:
+                outcome = failure
+            settle(i, outcome)
             done += 1
             report()
     if cells:
         report(final=True)
-
-    for i in pending:
-        if isinstance(results[i], SimulationResult):
-            _cache_put(keys[i], results[i], use_cache)
     return results  # type: ignore[return-value]
 
 
@@ -1112,7 +1115,7 @@ def run_system(
     seed: int = 0,
     use_cache: bool = True,
 ) -> SimulationResult:
-    """Build (or reuse) a workload and run it under ``preset``."""
+    """Run ``workload`` under ``preset``: :func:`run_cells` of one cell."""
     name = workload if isinstance(workload, str) else workload.name
     spec = RunSpec(
         workload=name,
@@ -1122,8 +1125,8 @@ def run_system(
         fault_handling_cycles=fault_handling_cycles,
         seed=seed,
         max_events=max_events,
-    ).resolved()
-    return cached(_memo_key(spec), lambda: _run_one(spec), use_cache)
+    )
+    return run_cells([spec], use_cache=use_cache)[0]
 
 
 def run_config(
@@ -1134,7 +1137,7 @@ def run_config(
     max_events: int = MAX_EVENTS,
     use_cache: bool = True,
 ) -> SimulationResult:
-    """Run an explicit :class:`SimConfig` (ablations) through the cache.
+    """Run an explicit :class:`SimConfig`: :func:`run_cells` of one cell.
 
     The cache key hashes the full config contents, so two distinct
     configs never collide even if they came from the same preset.
@@ -1146,8 +1149,8 @@ def run_config(
         scale=scale,
         seed=seed,
         max_events=max_events,
-    ).resolved()
-    return cached(_memo_key(spec), lambda: _run_one(spec), use_cache)
+    )
+    return run_cells([spec], use_cache=use_cache)[0]
 
 
 def run_matrix(

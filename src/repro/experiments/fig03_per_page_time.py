@@ -10,7 +10,12 @@ time / pages in the batch).
 from __future__ import annotations
 
 from repro import systems
-from repro.experiments.common import ExperimentResult, is_failure, run_system
+from repro.experiments.common import (
+    ExperimentResult,
+    RunSpec,
+    is_failure,
+    run_cells,
+)
 
 EXPECTATION = (
     "Per-page fault handling time decreases monotonically (hyperbolically) "
@@ -19,7 +24,10 @@ EXPECTATION = (
 
 
 def run(scale: str = "tiny", workload: str = "BFS-TTC") -> ExperimentResult:
-    sim = run_system(systems.BASELINE, workload, scale=scale)
+    (sim,) = run_cells(
+        [RunSpec(workload, preset=systems.BASELINE, scale=scale)],
+        label="fig3",
+    )
     result = ExperimentResult(
         experiment="fig3",
         title=(

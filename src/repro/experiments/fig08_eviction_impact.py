@@ -18,7 +18,6 @@ from repro.experiments.common import (
     RunSpec,
     is_failure,
     run_cells,
-    run_system,
 )
 
 EXPECTATION = (
@@ -38,25 +37,21 @@ def run(scale: str = "tiny", workloads=PAPER_WORKLOADS, ratio=None) -> Experimen
         columns=["baseline", "ideal_eviction"],
         notes=EXPECTATION,
     )
-    # Fan out the full cell set first; the loop below then reads cache hits.
-    run_cells(
+    settings = (
+        (systems.UNLIMITED, 1.0),
+        (systems.BASELINE, ratio),
+        (systems.IDEAL_EVICTION, ratio),
+    )
+    runs = run_cells(
         [
             RunSpec(name, preset=preset, scale=scale, ratio=cell_ratio)
             for name in workloads
-            for preset, cell_ratio in (
-                (systems.UNLIMITED, 1.0),
-                (systems.BASELINE, ratio),
-                (systems.IDEAL_EVICTION, ratio),
-            )
+            for preset, cell_ratio in settings
         ],
         label="fig8",
     )
-    for name in workloads:
-        unlimited = run_system(systems.UNLIMITED, name, scale=scale, ratio=1.0)
-        baseline = run_system(systems.BASELINE, name, scale=scale, ratio=ratio)
-        ideal = run_system(
-            systems.IDEAL_EVICTION, name, scale=scale, ratio=ratio
-        )
+    for k, name in enumerate(workloads):
+        unlimited, baseline, ideal = runs[3 * k : 3 * k + 3]
         if is_failure(unlimited) or is_failure(baseline) or is_failure(ideal):
             continue  # keep-going sweeps: skip rows with failed cells
         result.add_row(

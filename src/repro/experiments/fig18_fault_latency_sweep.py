@@ -22,7 +22,6 @@ from repro.experiments.common import (
     RunSpec,
     is_failure,
     run_cells,
-    run_system,
 )
 
 EXPECTATION = (
@@ -50,30 +49,26 @@ def run(
         notes=EXPECTATION,
     )
     presets = (systems.BASELINE, systems.TO, systems.UE, systems.TO_UE)
-    # Fan out the full (fht, workload, system) cube; the loops below then
-    # read cache hits.
-    run_cells(
-        [
-            RunSpec(
-                name,
-                preset=preset,
-                scale=scale,
-                ratio=ratio,
-                fault_handling_cycles=fht,
-            )
-            for fht in fht_values
-            for name in workloads
-            for preset in presets
-        ],
-        label="fig18",
-    )
+    cells = [
+        RunSpec(
+            name,
+            preset=preset,
+            scale=scale,
+            ratio=ratio,
+            fault_handling_cycles=fht,
+        )
+        for fht in fht_values
+        for name in workloads
+        for preset in presets
+    ]
+    runs = {
+        (cell.fault_handling_cycles, cell.workload, cell.preset.name): outcome
+        for cell, outcome in zip(cells, run_cells(cells, label="fig18"))
+    }
     for fht in fht_values:
         speedups = {"to": [], "ue": [], "to_ue": []}
         for name in workloads:
-            base = run_system(
-                systems.BASELINE, name, scale=scale, ratio=ratio,
-                fault_handling_cycles=fht,
-            )
+            base = runs[(fht, name, systems.BASELINE.name)]
             if is_failure(base):
                 continue  # keep-going sweeps: skip failed cells
             for key, preset in (
@@ -81,10 +76,7 @@ def run(
                 ("ue", systems.UE),
                 ("to_ue", systems.TO_UE),
             ):
-                run_result = run_system(
-                    preset, name, scale=scale, ratio=ratio,
-                    fault_handling_cycles=fht,
-                )
+                run_result = runs[(fht, name, preset.name)]
                 if is_failure(run_result):
                     continue
                 speedups[key].append(base.exec_cycles / run_result.exec_cycles)

@@ -334,7 +334,8 @@ class SupervisedPool:
             return None
         return _common._checkpoint_file(task.spec)
 
-    def _cleanup_task_files(self, task: _Task, quarantine: bool) -> str | None:
+    def _quarantine_task_files(self, task: _Task) -> str | None:
+        """Set a poisoned cell's checkpoint aside for triage; its path."""
         path = self._task_checkpoint(task)
         if path is None:
             return None
@@ -343,18 +344,12 @@ class SupervisedPool:
             tmp.unlink()
         except OSError:
             pass
-        if quarantine:
-            target = path.with_name(path.name + ".quarantine")
-            try:
-                os.replace(path, target)
-                return str(target)
-            except OSError:
-                return None
+        target = path.with_name(path.name + ".quarantine")
         try:
-            path.unlink()
+            os.replace(path, target)
+            return str(target)
         except OSError:
-            pass
-        return None
+            return None
 
     # ------------------------------------------------------------------
     # The run loop
@@ -365,9 +360,11 @@ class SupervisedPool:
         Each outcome slot holds a :class:`~repro.simulator.SimulationResult`,
         a :class:`~repro.errors.PoisonCellError` /
         :class:`~repro.errors.PoolBrokenError`, or the exception the cell
-        itself raised in its worker (the caller applies its own
-        retry/on-error policy to those).  ``on_done`` is invoked once per
-        finished cell, in completion order, on the calling thread.
+        raised in its worker after its own retries (a
+        :class:`~repro.errors.CellFailure`, or the exception of a bug);
+        the caller applies its on-error policy to those.  ``on_done`` is
+        invoked once per finished cell, in completion order, on the
+        calling thread.
         """
         with self._run_lock:
             if self._closed:
@@ -389,7 +386,6 @@ class SupervisedPool:
                 pending -= 1
                 if isinstance(outcome, SimulationResult):
                     self._count("completed")
-                    self._cleanup_task_files(task, quarantine=False)
                     # Success closes the circuit: only *consecutive*
                     # crashes (never interrupted by a completion) may
                     # accumulate toward the breaker, or a long-lived
@@ -400,7 +396,7 @@ class SupervisedPool:
                 else:
                     self._count("failed")
                     if quarantine:
-                        path = self._cleanup_task_files(task, quarantine=True)
+                        path = self._quarantine_task_files(task)
                         if path is not None:
                             outcome.checkpoint_path = path
                 if on_done is not None:

@@ -9,6 +9,11 @@ tiny — five pickled tuples:
   ``("result", task_id, result)`` / ``("error", task_id, exc)``, and
   ``("bye",)`` on a graceful exit.
 
+Each task runs through :func:`repro.experiments.common.execute_cell`, so
+a cell's retries and stall resumes happen here, in the worker; an
+``error`` carries its final :class:`~repro.errors.CellFailure` (or the
+exception of a bug).
+
 While a cell runs, a daemon thread heartbeats over the same pipe (one
 send lock serialises the two writers).  SIGTERM raises ``SystemExit`` in
 the worker's main thread — a *graceful* crash: a mid-cell SIGTERM
@@ -195,7 +200,7 @@ def worker_main(conn, worker_id: int, heartbeat: float | None) -> None:
         try:
             if plan is not None:
                 common.set_cell_hook(_ChaosInstaller(plan, runtime))
-            result = common._simulate_spec(spec)
+            result = common.execute_cell(spec)
             payload = ("result", task_id, result)
         except (KeyboardInterrupt, SystemExit):
             raise  # graceful crash: the supervisor resumes the cell

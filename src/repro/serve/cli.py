@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes per batch (run_cells jobs)",
+        help="worker processes in the server's pool",
     )
     parser.add_argument(
         "--queue-limit",
@@ -106,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write {host, port, pid} JSON here once listening",
     )
     parser.add_argument(
-        "--no-supervise",
-        action="store_true",
-        help="run batches on the server thread instead of the "
-        "crash-isolated supervised worker pool",
-    )
-    parser.add_argument(
         "--worker-heartbeat",
         type=float,
         default=0.25,
@@ -177,7 +171,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         drain_grace=args.drain_grace,
         ready_file=args.ready_file,
         announce=not args.quiet,
-        supervised=not args.no_supervise,
         worker_heartbeat=args.worker_heartbeat or None,
         worker_deadline=args.worker_deadline,
         breaker_threshold=args.breaker_threshold,

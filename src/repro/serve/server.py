@@ -10,8 +10,8 @@ Request lifecycle (see ``docs/serving.md`` for the ops view)::
       └─ batcher (collect up to batch_window / batch_max)
       └─ run_cells on a worker thread      → supervised worker pool
                                              (crash isolation, restarts,
-                                             checkpoint handoff) plus the
-                                             existing retry machinery
+                                             checkpoint handoff; retries
+                                             and resumes run in workers)
       └─ settle: futures resolve, cache entry unpinned, metrics updated
 
 All bookkeeping (queue, dedupe map, backlog counter, metrics) is
@@ -48,6 +48,7 @@ from repro.errors import (
 )
 from repro.experiments import common
 from repro.obs.serve import ServeMetrics
+from repro.pool import PoolConfig, SupervisedPool
 from repro.serve import handlers
 from repro.serve.protocol import spec_from_request
 from repro.simulator import SimulationResult
@@ -61,7 +62,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: pick an ephemeral port (see ReproServer.port)
-    #: Worker processes handed to ``run_cells`` per batch (1 = in-process).
+    #: Worker processes in the server's pool; every cell runs in one.
     jobs: int = 1
     #: Maximum admitted-but-unfinished requests before 429.
     queue_limit: int = 64
@@ -88,11 +89,6 @@ class ServeConfig:
     ready_file: str | None = None
     #: Print a "listening" line on stdout when ready.
     announce: bool = False
-    #: Execute batches on a long-lived supervised worker pool
-    #: (:mod:`repro.pool`): cells run crash-isolated in subprocesses with
-    #: heartbeats, restart-with-backoff, and checkpoint-based handoff of
-    #: interrupted cells.  Off: cells run on the batch thread itself.
-    supervised: bool = True
     #: Heartbeat cadence for pool workers (None disables supervision
     #: heartbeats; see :class:`repro.pool.PoolConfig`).
     worker_heartbeat: float | None = 0.25
@@ -158,7 +154,16 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-batch"
         )
-        self._pool = None  # SupervisedPool when config.supervised
+        # Every cell runs on this pool.  Its workers start in _main, after
+        # the cache redirect, so they inherit the server's cache settings.
+        self._pool = SupervisedPool(
+            PoolConfig(
+                workers=self.policy.jobs,
+                heartbeat=self.config.worker_heartbeat,
+                cell_deadline=self.policy.worker_deadline,
+                breaker_threshold=self.policy.breaker_threshold,
+            )
+        )
         self._ema_cell_seconds = 0.25
         self._evictions_seen = 0
 
@@ -202,21 +207,7 @@ class ReproServer:
         self._queue = asyncio.Queue()
         self._shutdown_event = asyncio.Event()
         self._apply_cache_settings()
-        if self.config.supervised:
-            # Built after the cache redirect so forked workers inherit
-            # the server's cache settings, and before the listener so a
-            # broken pool config fails startup loudly.
-            from repro.pool import PoolConfig, SupervisedPool
-
-            self._pool = SupervisedPool(
-                PoolConfig(
-                    workers=self.policy.jobs,
-                    heartbeat=self.config.worker_heartbeat,
-                    cell_deadline=self.policy.worker_deadline,
-                    breaker_threshold=self.policy.breaker_threshold,
-                )
-            )
-            self._pool.start()
+        self._pool.start()
         server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -234,8 +225,7 @@ class ReproServer:
             if not batcher.done():
                 batcher.cancel()
             self._executor.shutdown(wait=False)
-            if self._pool is not None:
-                self._pool.close()
+            self._pool.close()
 
     def _apply_cache_settings(self) -> None:
         if self.config.cache_dir is not None:
@@ -356,18 +346,15 @@ class ReproServer:
 
     def _retry_after(self) -> int:
         estimate = self._backlog * self._ema_cell_seconds
-        if self._pool is not None:
-            # Degraded capacity (crashed workers mid-respawn) stretches
-            # the estimate: half the fleet alive means double the wait.
-            target = max(1, self.config.jobs)
-            alive = self._pool.workers_alive()
-            estimate *= target / max(alive, 0.5)
+        # Degraded capacity (crashed workers mid-respawn) stretches the
+        # estimate: half the fleet alive means double the wait.
+        target = max(1, self.config.jobs)
+        alive = self._pool.workers_alive()
+        estimate *= target / max(alive, 0.5)
         return max(1, int(round(estimate)))
 
-    def pool_health(self) -> dict | None:
-        """Supervision summary for ``/v1/healthz`` (None: unsupervised)."""
-        if self._pool is None:
-            return None
+    def pool_health(self) -> dict:
+        """Supervision summary for ``/v1/healthz``."""
         snap = self._pool.stats()
         return {
             "workers_alive": snap["workers"]["alive"],
@@ -523,7 +510,7 @@ class ReproServer:
             "backlog": self._backlog,
             "draining": self._draining,
             "uptime_s": time.monotonic() - self.started_at,
-            "pool": self._pool.stats() if self._pool is not None else None,
+            "pool": self._pool.stats(),
             "config": {
                 "jobs": self.config.jobs,
                 "queue_limit": self.config.queue_limit,
@@ -532,7 +519,6 @@ class ReproServer:
                 "cache_quota_bytes": self.config.cache_quota_bytes,
                 "cell_timeout": self.config.cell_timeout,
                 "checkpoint_dir": self.config.checkpoint_dir,
-                "supervised": self.config.supervised,
                 "breaker_threshold": self.config.breaker_threshold,
             },
         }

@@ -250,7 +250,8 @@ class TestSupervisedPool:
         bad = _spec(chaos=parse_chaos_spec("fail-batch:batch=0", seed=0))
         with SupervisedPool(PoolConfig(workers=1, **FAST_POOL)) as pool:
             (outcome,) = pool.run([bad.resolved()])
-        assert isinstance(outcome, InjectionError)
+        assert isinstance(outcome, CellFailure)
+        assert outcome.error_type == "InjectionError"
         assert pool.stats()["failed"] == 1
         assert pool.stats()["crashes"] == 0, "a raising cell is not a crash"
 

@@ -9,16 +9,20 @@
 * A key that crashes repeatedly is quarantined: the client receives a
   structured ``cell_failed`` envelope (HTTP 500) naming the poison-cell
   error, and the key shows up in the health report.
-* ``supervised=False`` still serves (the pre-pool in-thread path).
+* Retries run in pool workers: a request whose first attempt raises a
+  transient error answers 200 and the server process simulates nothing.
 * Degraded capacity stretches ``Retry-After``.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.chaos import parse_chaos_spec
 from repro.serve.testing import running_server
+from tests.test_runner_hardening import log_attempts, read_attempts
 
 FAST = {"workload": "KCORE", "scale": "tiny", "seed": 0}
 
@@ -46,7 +50,6 @@ class TestCrashVisibility:
             with running_server(
                 cache_dir=str(tmp_path / "golden-cache"),
                 announce=False,
-                supervised=True,
                 jobs=1,
             ) as (_, golden_client):
                 golden = golden_client.run(**FAST).json()["result"]
@@ -120,17 +123,22 @@ class TestPoisonCell:
             assert client.healthz()["workers"]["quarantined_keys"] == 1
 
 
-class TestUnsupervised:
-    def test_no_supervise_path_still_serves(self, tmp_path):
+class TestRetriesInWorkers:
+    def test_transient_failure_retried_outside_the_server(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "attempts.log"
+        log_attempts(monkeypatch, log, fail_first=True)
         with running_server(
-            cache_dir=str(tmp_path / "cache"),
-            announce=False,
-            supervised=False,
+            cache_dir=str(tmp_path / "cache"), announce=False
         ) as (server, client):
             response = client.run(**FAST)
             assert response.status == 200
-            assert client.stats()["pool"] is None
-            assert client.healthz()["workers"] is None
+        attempts = read_attempts(log)
+        assert [outcome for _, _, outcome in attempts] == ["OSError", "ok"]
+        assert str(os.getpid()) not in {pid for pid, _, _ in attempts}, (
+            "the server process must simulate nothing"
+        )
 
 
 class TestDegradedCapacity:

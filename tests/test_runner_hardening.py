@@ -1,5 +1,6 @@
 """Self-healing experiment runner: retries, keep-going, cache quarantine."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from repro import systems
 from repro.chaos.config import parse_chaos_spec
 from repro.errors import CellFailure, SimulationError, SimulationStalledError
 from repro.experiments import common
+from repro.experiments import fig08_eviction_impact, fig17_oversubscription_sweep
 
 FAILING_CHAOS = parse_chaos_spec("fail-batch:batch=0", seed=0)
 
@@ -33,6 +35,48 @@ def harness(tmp_path):
 def use_policy(**fields):
     """Patch the process policy for the rest of the test."""
     common.set_policy(replace(common.policy(), **fields))
+
+
+def log_attempts(monkeypatch, log, fail_first=False):
+    """Append ``"<pid> <memo digest> <outcome>"`` to ``log`` for every
+    ``_simulate_spec`` call, in whichever process makes it (forked pool
+    workers inherit the patch).  With ``fail_first``, each cell's first
+    attempt raises ``OSError``."""
+    real = common._simulate_spec
+
+    def logged(spec):
+        digest = common._spec_digest(spec)
+        marker = log.with_name(f"{digest}.failed")
+        outcome = "ok"
+        try:
+            if fail_first and not marker.exists():
+                marker.touch()
+                outcome = "OSError"
+                raise OSError("spurious I/O hiccup")
+            try:
+                return real(spec)
+            except Exception as exc:
+                outcome = type(exc).__name__
+                raise
+        finally:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {digest} {outcome}\n")
+
+    monkeypatch.setattr(common, "_simulate_spec", logged)
+    monkeypatch.setattr(common, "_RETRY_BACKOFF", 0.0)
+
+
+def read_attempts(log):
+    """The ``(pid, digest, outcome)`` lines :func:`log_attempts` wrote."""
+    return [tuple(line.split()) for line in log.read_text().splitlines()]
+
+
+def two_cells():
+    """Two distinct cells, so ``jobs=2`` really fans out to the pool."""
+    return [
+        common.RunSpec("KCORE", preset=preset, scale="tiny")
+        for preset in (systems.BASELINE, systems.TO)
+    ]
 
 
 def specs(*chaos_slots):
@@ -125,22 +169,31 @@ class TestOnErrorPolicy:
 
 
 class TestRetryPolicy:
-    def test_transient_error_retried(self, harness, monkeypatch):
-        real = common._simulate_spec
-        calls = []
-
-        def flaky(spec):
-            calls.append(spec)
-            if len(calls) == 1:
-                raise OSError("spurious I/O hiccup")
-            return real(spec)
-
-        monkeypatch.setattr(common, "_simulate_spec", flaky)
-        monkeypatch.setattr(common, "_RETRY_BACKOFF", 0.0)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_transient_error_retried(self, harness, monkeypatch, jobs):
+        log = harness / "attempts.log"
+        log_attempts(monkeypatch, log, fail_first=True)
         use_policy(retries=2)
-        result = common.run_system(systems.BASELINE, "KCORE", scale="tiny")
-        assert result.exec_cycles > 0
-        assert len(calls) == 2
+        results = common.run_cells(two_cells(), jobs=jobs)
+        assert all(result.exec_cycles > 0 for result in results)
+        attempts = read_attempts(log)
+        assert sorted(outcome for _, _, outcome in attempts) == [
+            "OSError", "OSError", "ok", "ok"
+        ], "each cell: one failed attempt, one retry"
+
+    def test_pool_retries_run_in_the_worker(self, harness, monkeypatch):
+        log = harness / "attempts.log"
+        log_attempts(monkeypatch, log, fail_first=True)
+        results = common.run_cells(two_cells(), jobs=2)
+        assert not any(common.is_failure(r) for r in results)
+        attempts = read_attempts(log)
+        assert len(attempts) == 4
+        assert str(os.getpid()) not in {pid for pid, _, _ in attempts}, (
+            "the parent process must simulate nothing"
+        )
+        for digest in {digest for _, digest, _ in attempts}:
+            pids = {pid for pid, d, _ in attempts if d == digest}
+            assert len(pids) == 1, "a cell retries where it ran"
 
     def test_deterministic_error_not_retried(self, harness, monkeypatch):
         calls = []
@@ -171,14 +224,61 @@ class TestRetryPolicy:
         assert result.error_type == "OSError"
         assert len(calls) == 3  # first attempt + 2 retries
 
-    def test_unknown_exception_propagates(self, harness, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_exception_propagates(self, harness, monkeypatch, jobs):
         def buggy(spec):
             raise ValueError("a bug, not a cell failure")
 
         monkeypatch.setattr(common, "_simulate_spec", buggy)
         use_policy(on_error="keep-going")
-        with pytest.raises(ValueError):
-            common.run_system(systems.BASELINE, "KCORE", scale="tiny")
+        with pytest.raises(ValueError) as excinfo:
+            common.run_cells(two_cells(), jobs=jobs)
+        assert type(excinfo.value) is ValueError
+        assert common.drain_failures() == []
+
+
+class TestOneRunPerCell:
+    def test_repeated_spec_runs_once(self, harness, monkeypatch):
+        log = harness / "attempts.log"
+        log_attempts(monkeypatch, log)
+        spec = common.RunSpec("KCORE", preset=systems.BASELINE, scale="tiny")
+        first, second = common.run_cells([spec, spec], jobs=1)
+        assert len(read_attempts(log)) == 1, "one simulation per memo key"
+        assert first is second
+
+    def test_repeated_failing_spec_has_one_failure_record(self, harness):
+        use_policy(on_error="keep-going")
+        (bad,) = specs(True)
+        first, second = common.run_cells([bad, bad], jobs=1)
+        assert common.is_failure(first)
+        assert first is second
+        assert len(common.drain_failures()) == 1
+
+    @pytest.mark.parametrize(
+        "experiment, jobs",
+        [(fig17_oversubscription_sweep, 2), (fig08_eviction_impact, 1)],
+        ids=["fig17", "fig8"],
+    )
+    def test_keep_going_figure_records_each_failed_cell_once(
+        self, harness, monkeypatch, experiment, jobs
+    ):
+        log = harness / "attempts.log"
+        log_attempts(monkeypatch, log)
+        use_policy(
+            jobs=jobs,
+            on_error="keep-going",
+            chaos=parse_chaos_spec("fail-batch:batch=2", seed=0),
+        )
+        experiment.run(scale="tiny")
+        failures = common.drain_failures()
+        assert all(f.error_type == "InjectionError" for f in failures)
+        failed = [digest for _, digest, outcome in read_attempts(log)
+                  if outcome == "InjectionError"]
+        assert len(failed) == len(set(failed)), "a cell ran twice"
+        assert len(failures) == len(failed)
+        if experiment is fig17_oversubscription_sweep:
+            ratios = fig17_oversubscription_sweep.RATIOS
+            assert len(failures) == 1 + 2 * len(ratios) - 1
 
 
 class TestCellTimeout:
