@@ -1,7 +1,8 @@
 """Observability off must cost <2% — the ISSUE's zero-cost criterion.
 
-Strategy: the instrumentation is a *module-level no-op guard* — every hook
-site reduces to one ``x is not None`` test when no session is installed.
+Strategy: the instrumentation is one observer slot per simulation — every
+report site reduces to one ``observer is not None`` test when nothing
+listens (no session installed, no invariant checker).
 A guard's cost is too small to resolve inside one real simulation run
 (run-to-run noise swamps it), so we measure it directly:
 
@@ -32,16 +33,18 @@ from repro.errors import SimulationError
 from repro.sim.engine import HeapEngine
 
 #: Upper bound on `is not None` guard evaluations per engine event across
-#: all instrumented components (engine step, fault path, buffer, DMA, SM).
+#: all instrumented components (engine step, fault path, buffer, DMA, SM):
+#: the engine's own `obs` test plus the observer report sites.
 GUARD_SITES_PER_EVENT = 8
 
 #: Events in the synthetic storm used to resolve the per-event guard cost.
 STORM_EVENTS = 200_000
 
-#: Upper bound on the *additional* `analytics is not None` guards per
-#: engine event added by repro.obs.analytics: op execution (2 charge
+#: Upper bound on the observer report sites per engine event that carry
+#: the facts repro.obs.analytics subscribes to: op execution (2 busy-charge
 #: sites), warp wake (3 wake paths), batch begin/end, page arrival, SM
-#: context switch.  When analytics is disabled these are the only cost.
+#: context switch.  With nothing attached these pointer tests are the
+#: only cost.
 ANALYTICS_GUARD_SITES = 8
 
 
@@ -149,11 +152,11 @@ def test_obs_off_overhead_below_two_percent():
 def test_analytics_off_overhead_below_two_percent():
     """Analytics disabled must stay under the same 2% budget.
 
-    With ``analytics=False`` every analytics hook is one pointer test
-    (``self._an is not None`` / ``self.analytics is not None``), the same
-    shape the base instrumentation uses, so the measured per-guard cost
-    transfers directly: estimated overhead = guard cost x analytics guard
-    sites x events / runtime.
+    With nothing attached every site analytics subscribes to is one
+    pointer test (``self.observer is not None``), the same shape as the
+    engine's guard, so the measured per-guard cost transfers directly:
+    estimated overhead = guard cost x analytics guard sites x events /
+    runtime.
     """
     assert obs.current() is None, "a leaked obs session would skew timing"
 

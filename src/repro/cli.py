@@ -37,7 +37,6 @@ from repro import obs as obs_mod
 from repro import systems
 from repro.chaos import parse_chaos_spec
 from repro.errors import ReproError
-from repro.sim.timeline import Timeline, render_batches
 from repro.simulator import GpuUvmSimulator
 from repro.workloads.registry import SCALES, build_workload, workload_names
 
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timeline",
         action="store_true",
-        help="print the ASCII Figure-2 batch timeline",
+        help="print the ASCII Figure-2 batch timeline (not with --obs light)",
     )
     parser.add_argument(
         "--analytics",
@@ -254,6 +253,8 @@ def main(argv: list[str] | None = None) -> int:
             "--trace-out/--metrics-out/--report/--analytics require "
             "--obs light or full"
         )
+    if args.timeline and args.obs == "light":
+        parser.error("--timeline needs the arrival markers of --obs full")
 
     try:
         workload = build_workload(args.workload, scale=args.scale, seed=args.seed)
@@ -267,16 +268,18 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, ReproError) as exc:
         parser.error(str(exc).strip('"'))
 
+    # --timeline renders from the tracer: with --obs off it records into
+    # a full session that nothing else reports or exports.
+    mode = "full" if args.timeline and args.obs == "off" else args.obs
     obs = (
         obs_mod.Observability(
-            args.obs,
+            mode,
             max_trace_events=args.trace_obs_events,
             analytics=analytics,
         )
-        if args.obs != "off"
+        if mode != "off"
         else None
     )
-    timeline = Timeline() if args.timeline else None
 
     checkpoint_file = None
     if args.checkpoint_dir:
@@ -296,14 +299,13 @@ def main(argv: list[str] | None = None) -> int:
             # The restored simulator carries its original instrumentation
             # (pickled with it); report from that, not this invocation's.
             obs = sim.obs
-            timeline = sim.timeline
             print(
                 f"resuming {checkpoint_file} "
                 f"(cycle {sim.engine.now:,}, "
                 f"batch {sim.runtime.batch_stats.num_batches})"
             )
     if sim is None:
-        sim = GpuUvmSimulator(workload, config, timeline=timeline, obs=obs)
+        sim = GpuUvmSimulator(workload, config, obs=obs)
     if checkpoint_file is not None:
         sim.enable_checkpoints(
             args.checkpoint_dir,
@@ -363,9 +365,13 @@ def main(argv: list[str] | None = None) -> int:
             "  chaos: "
             + ", ".join(f"{kind}={count}" for kind, count in injected.items())
         )
-    if timeline is not None:
+    if args.timeline:
         print()
-        print(render_batches(timeline))
+        print(
+            obs_mod.render_batches(obs.tracer)
+            if obs is not None
+            else "(no batches recorded: the resumed run had no obs session)"
+        )
     if obs is not None:
         if args.report:
             print()

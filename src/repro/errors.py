@@ -241,8 +241,10 @@ class CellFailure(ReproError):
 
     def summary(self) -> str:
         """One-line digest for sweep reports."""
+        ratio = self.context.get("ratio")
+        at = "" if ratio is None else f"@{ratio}"
         return (
-            f"{self.workload}/{self.system}: {self.error_type or 'error'} "
+            f"{self.workload}/{self.system}{at}: {self.error_type or 'error'} "
             f"after {self.attempts} attempt(s) — {self.args[0]}"
         )
 

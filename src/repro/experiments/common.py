@@ -862,6 +862,9 @@ def _failure_record(
         attempts=attempts,
         error_type=type(exc).__qualname__,
         scale=spec.scale,
+        ratio=spec.ratio,
+        fault_handling_cycles=spec.fault_handling_cycles,
+        cell=_spec_digest(spec),
     )
     # The simulator attaches a flight-recorder dump (recent batches +
     # engine events) to the exception when analytics is on; carry it so

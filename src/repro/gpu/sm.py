@@ -98,10 +98,9 @@ class StreamingMultiprocessor:
         #: expensive (Figure 5) while being nearly free under demand
         #: paging, where the other blocks are fault-stalled anyway.
         self.switch_busy_until = 0
-        #: Optional :class:`repro.obs.analytics.RunAnalytics` — context
-        #: switches land in the flight recorder; None costs one pointer
-        #: test per switch.
-        self.analytics = None
+        #: Optional :class:`repro.obs.observer.SimObserver` told of each
+        #: context switch; None costs one pointer test per switch.
+        self.observer = None
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -174,15 +173,10 @@ class StreamingMultiprocessor:
         incoming.state = BlockState.SWITCHING
         incoming.context_switches += 1
         self._switching += 1
-        an = self.analytics
-        if an is not None:
-            an.flight.record(
-                "context_switch",
+        if self.observer is not None:
+            self.observer.context_switch(
+                self.sm_id, block.block_id, incoming.block_id, cost,
                 self.engine.now,
-                sm=self.sm_id,
-                out=block.block_id,
-                into=incoming.block_id,
-                cost=cost,
             )
 
         self.engine.schedule(cost, _FinishSwitchEvent(self, incoming))

@@ -174,9 +174,9 @@ class Warp:
         #: True while the warp's in-flight access is waiting on DRAM; used
         #: by the forced-oversubscription (Figure 5) switch trigger.
         self.mem_wait = False
-        #: True between a fault-stall wake and the next op issue; lets the
-        #: analytics layer charge the re-issued op's cycles to the
-        #: ``replay`` bucket.  Only written when analytics is enabled.
+        #: True between a fault-stall wake and the next op issue; tells
+        #: the simulation's observer the re-issued op is a replay.  Only
+        #: written while an observer is attached.
         self.replay_pending = False
         #: Shared :class:`repro.lifecycle.TransitionValidator`; installed
         #: only under ``check_invariants`` so the hot path pays one

@@ -121,8 +121,8 @@ class WarpStore:
         self.stalled_cycles = [0] * n
         self.resume_latency = [0] * n
         self.mem_wait = [False] * n
-        # Analytics-only flag (see Warp.replay_pending); stays False
-        # everywhere when analytics is off.
+        # Observer-only flag (see Warp.replay_pending); stays False
+        # everywhere when no observer is attached.
         self.replay_pending = [False] * n
         self.n_ops = [0] * n
         # Ragged per-warp data, indexed by the same warp index: tuples

@@ -4,8 +4,9 @@ Two cooperating guards keep a perturbed (or simply buggy) simulation from
 silently mis-reporting:
 
 * :class:`InvariantChecker` — validates memory-manager / page-table /
-  batch-state consistency.  The runtime calls it at batch boundaries and
-  the simulator at engine quiescence; every violation raises
+  batch-state consistency at every batch begin and end (a subscriber on
+  the simulation's observer slot) and at engine quiescence (called by
+  the simulator); every violation raises
   :class:`~repro.errors.InvariantViolation` naming the invariant and the
   witnesses.
 * :class:`Watchdog` — hooked into :class:`repro.sim.engine.Engine`,
@@ -46,17 +47,20 @@ import time
 from typing import Callable
 
 from repro.errors import InvariantViolation, SimulationStalledError
+from repro.obs.observer import SimObserver
 
 
-class InvariantChecker:
-    """Cross-component consistency checks for one simulator instance."""
+class InvariantChecker(SimObserver):
+    """Cross-component consistency checks for one simulator instance.
+
+    Subscribes to the simulation's observer slot for the batch-boundary
+    checks."""
 
     def __init__(self, *, memory, page_table, runtime=None) -> None:
         self.memory = memory
         self.page_table = page_table
         self.runtime = runtime
         self.checks_run = 0
-        self.batches_checked = 0
         #: Per-machine, per-event counts of every declared transition the
         #: lifecycle layer reported (see :mod:`repro.lifecycle`).
         self.transition_counts: dict[str, dict[str, int]] = {}
@@ -65,12 +69,11 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Hook entry points
     # ------------------------------------------------------------------
-    def on_batch_begin(self, batch_index: int, now: int) -> None:
-        self.batches_checked += 1
-        self.check(where=f"batch {batch_index} begin @ {now}")
+    def batch_begin(self, runtime, index: int, now: int) -> None:
+        self.check(where=f"batch {index} begin @ {now}")
 
-    def on_batch_end(self, batch_index: int, now: int) -> None:
-        self.check(where=f"batch {batch_index} end @ {now}")
+    def batch_end(self, runtime, record, replayed: int) -> None:
+        self.check(where=f"batch {record.index} end @ {record.end_time}")
 
     def on_quiescence(self, now: int) -> None:
         self.check(where=f"quiescence @ {now}", quiescent=True)

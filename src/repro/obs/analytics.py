@@ -7,9 +7,10 @@ in — the fault-handling batch.  Four cooperating pieces:
 * :class:`BatchObservation` — one structured record per batch: lifecycle
   phase timings (drain -> preprocess -> migrate -> replay), page/dup/
   prefetch/eviction counts, oversubscription degree, and the queue depths
-  seen at batch begin.  Emitted by the UVM runtime with inputs from the
-  eviction planner (:class:`~repro.uvm.eviction.EvictionPlan`), the
-  prefetcher, and the fault buffer.
+  seen at batch begin.  Built from the UVM runtime's batch facts, with
+  inputs from the eviction planner
+  (:class:`~repro.uvm.eviction.EvictionPlan`), the prefetcher, and the
+  fault buffer.
 * :class:`CycleAttribution` — per-warp cycle accounting split into
   ``compute / fault_latency / eviction_wait / pcie_queue / replay``
   buckets, charged from both warp backends (bit-identical), rolled up
@@ -26,9 +27,10 @@ in — the fault-handling batch.  Four cooperating pieces:
   framework trains on (ROADMAP item 5).
 
 Everything here is pure accounting: no hook schedules events or mutates
-model state, so enabling analytics cannot perturb simulated behaviour,
-and every hot-path hook sits behind an ``is not None`` guard exactly
-like the tracer (``analytics=False`` keeps the guards dead).
+model state, so enabling analytics cannot perturb simulated behaviour.
+:class:`RunAnalytics` subscribes through the simulation's one observer
+slot (:mod:`repro.obs.observer`) beside the tracer, so
+``analytics=False`` adds no hook site of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.obs.observer import SimObserver
 
 #: Attribution buckets, in reporting order.  ``compute`` and ``replay``
 #: are busy cycles (first issue vs post-fault re-issue of an op); the
@@ -206,25 +209,28 @@ class FlightRecorder:
         return len(self._ring)
 
 
-class RunAnalytics:
-    """Analytics state for one simulation run (one experiment cell)."""
+class RunAnalytics(SimObserver):
+    """Analytics state for one simulation run (one experiment cell).
+
+    A subscriber on the simulation's observer slot: the batch, stall and
+    issue facts the model reports become :class:`BatchObservation`
+    records, :class:`CycleAttribution` buckets and flight-recorder
+    entries.
+    """
 
     def __init__(
         self,
         workload: str,
         num_sms: int,
         flight_events: int = 64,
-        session: "AnalyticsSession | None" = None,
     ) -> None:
         self.workload = workload
         self.attr = CycleAttribution(num_sms)
         self.batches: list[BatchObservation] = []
         self.flight = FlightRecorder(flight_events)
-        self.session = session
         #: Observation for the batch currently being processed.
         self.open_batch: BatchObservation | None = None
-        #: Eviction frame-wait of the page being delivered right now
-        #: (set by the runtime before fanning a wake out).
+        #: Eviction frame-wait of the page being delivered right now.
         self.arrival_frame_wait = 0
         #: Independently accumulated stall cycles (one add per wake);
         #: must equal the sum of the three stall buckets *and* the
@@ -232,17 +238,20 @@ class RunAnalytics:
         self.stall_total = 0
         #: Thread-oversubscription probe (set by the simulator).
         self.oversub_probe = None
-        # Filled by finish():
+        #: Queue depths seen at the open batch's begin, before the drain,
+        #: and the runtime's stale-entry count then.
+        self._begin_depths: tuple = ()
+        self._stale_at_begin = 0
+        #: Per-page eviction frame wait of the open batch's migrations.
+        self._frame_waits: dict[int, int] = {}
+        # Filled by run_finished():
         self.exec_cycles: int | None = None
         self.warp_stall_cycles: int | None = None
-        self.faults_raised = 0
-        self.migrated_pages = 0
-        self.events_processed = 0
 
     # ------------------------------------------------------------------
-    # Hot-path hooks (every caller guards `analytics is not None`)
+    # Warp facts (per wake / per issued op)
     # ------------------------------------------------------------------
-    def record_stall(self, sm_id: int, start: int, now: int) -> None:
+    def stall_end(self, sm_id, warp_id, start, now, issuing) -> None:
         """Decompose one finished fault-stall interval into buckets.
 
         ``fault_latency`` covers stall begin to the delivering batch's
@@ -250,10 +259,13 @@ class RunAnalytics:
         ``eviction_wait`` is the part of the migration window the
         delivering page spent waiting on an eviction-freed frame;
         ``pcie_queue`` is the rest (H2D queueing + streaming).  The three
-        tile the interval exactly.
+        tile the interval exactly.  SM-less warps charge the extra
+        ``num_sms`` row.
         """
         d = now - start
         attr = self.attr
+        if sm_id is None:
+            sm_id = attr.num_sms
         batch = self.open_batch
         if batch is None:
             attr.fault_latency[sm_id] += d
@@ -272,11 +284,73 @@ class RunAnalytics:
         attr.pcie_queue[sm_id] += rem - ev
         self.stall_total += d
 
+    def op_busy(self, sm_id, cycles, replay) -> None:
+        """Busy cycles of an issued op: ``replay`` for a post-stall
+        re-issue, ``compute`` otherwise."""
+        (self.attr.replay if replay else self.attr.compute)[sm_id] += cycles
+
+    def context_switch(self, sm_id, out, into, cost, now) -> None:
+        self.flight.record(
+            "context_switch", now, sm=sm_id, out=out, into=into, cost=cost
+        )
+
+    def kernel_start(self, kernel, blocks, now) -> None:
+        self.flight.record("kernel_start", now, kernel=kernel, blocks=blocks)
+
     # ------------------------------------------------------------------
-    # Batch lifecycle (runtime callbacks, batch-boundary frequency)
+    # Batch facts (batch-boundary frequency)
     # ------------------------------------------------------------------
-    def begin_batch(self, **fields) -> BatchObservation:
-        batch = BatchObservation(**fields)
+    def batch_begin(self, runtime, index, now) -> None:
+        # Queue depths as the batch sees them, before the drain.
+        h2d, d2h = runtime.pcie.h2d, runtime.pcie.d2h
+        self._begin_depths = (
+            len(runtime.fault_buffer),
+            *runtime.waiting_counts(),
+            runtime.pending_frame_count,
+            max(0, h2d.busy_until - now),
+            max(0, d2h.busy_until - now),
+        )
+        self._stale_at_begin = runtime.stale_entries_dropped
+
+    def empty_drain(self, now, entries, replayed) -> None:
+        self.flight.record("empty_drain", now, entries=entries, replayed=replayed)
+
+    def batch_planned(self, runtime, record, entries, pages, plan, fht) -> None:
+        # Custom strategies may plan fewer waits than pages: the rest wait 0.
+        self._frame_waits = dict(zip(pages, plan.frame_waits))
+        depths = self._begin_depths
+        memory = runtime.memory
+        batch = BatchObservation(
+            index=record.index,
+            begin_time=record.begin_time,
+            entries=record.fault_entries,
+            demand_pages=record.demand_pages,
+            stale_entries=runtime.stale_entries_dropped - self._stale_at_begin,
+            dup_entries=len(entries) - len({e.page for e in entries}),
+            prefetched_pages=record.prefetched_pages,
+            migrated_pages=len(pages),
+            evicted_pages=len(plan.evictions),
+            fault_handling_cycles=fht,
+            first_migration_time=record.first_migration_time,
+            frame_wait_cycles=plan.total_frame_wait(),
+            eviction_busy_cycles=plan.eviction_busy_cycles(),
+            eviction_window_cycles=plan.eviction_window_cycles(),
+            eviction_occupancy=plan.eviction_occupancy(),
+            buffered_entries=depths[0],
+            waiting_pages=depths[1],
+            waiting_warps=depths[2],
+            pending_frames=depths[3],
+            h2d_backlog=depths[4],
+            d2h_backlog=depths[5],
+            free_frames=0 if memory.unlimited else memory.free_frames,
+            capacity=memory.capacity,
+            occupancy_pct=memory.occupancy_pct,
+            to_extra_blocks=(
+                self.oversub_probe() if self.oversub_probe is not None else 0
+            ),
+            prefetch_regions=getattr(runtime.prefetcher, "last_regions", 0),
+            overflow_at_begin=runtime.fault_buffer.overflow_faults,
+        )
         self.open_batch = batch
         self.flight.record(
             "batch_begin",
@@ -286,55 +360,62 @@ class RunAnalytics:
             pages=batch.migrated_pages,
             evicted=batch.evicted_pages,
         )
-        return batch
 
-    def end_batch(self, end_time: int, replayed: int, overflow_now: int) -> None:
+    def page_arrived(self, page, now) -> None:
+        # Context for the stall decomposition the wake performs.
+        self.arrival_frame_wait = self._frame_waits.get(page, 0)
+
+    def batch_end(self, runtime, record, replayed) -> None:
+        self._frame_waits = {}
         batch = self.open_batch
         if batch is None:
             return
-        batch.end_time = end_time
+        batch.end_time = record.end_time
         batch.replayed_entries = replayed
-        batch.overflow_faults = overflow_now - batch.overflow_at_begin
+        batch.overflow_faults = (
+            runtime.fault_buffer.overflow_faults - batch.overflow_at_begin
+        )
         self.open_batch = None
         self.batches.append(batch)
         self.flight.record(
             "batch_end",
-            end_time,
+            record.end_time,
             batch=batch.index,
             processing=batch.processing_cycles,
             replayed=replayed,
         )
 
-    def finish(self, result) -> None:
+    # ------------------------------------------------------------------
+    # Whole run
+    # ------------------------------------------------------------------
+    def run_finished(self, sim, result) -> None:
         """Capture the run's result aggregates for the report."""
         self.exec_cycles = result.exec_cycles
         self.warp_stall_cycles = result.warp_stall_cycles
-        self.faults_raised = result.faults_raised
-        self.migrated_pages = result.migrated_pages
-        self.events_processed = result.events_processed
         self.flight.record(
             "run_finished", result.exec_cycles, batches=len(self.batches)
         )
 
-    def failure_dump(self, error_type: str, message: str, now: int, **extra) -> dict:
-        """Ring snapshot + recent batch features for a failed run."""
+    def run_failed(self, sim, exc) -> None:
+        """Attach the flight-recorder dump (ring snapshot + recent batch
+        features) to ``exc`` as an *attribute*: ``ReproError.__reduce__``
+        preserves ``__dict__``, so the dump survives worker-process
+        pickling and lands in the runner's failure snapshots."""
         recent = self.batches[-self.flight.capacity :]
-        dump = {
+        exc.flight_recorder = {
             "workload": self.workload,
-            "error_type": error_type,
-            "message": message,
-            "now": now,
+            "error_type": type(exc).__name__,
+            "message": str(exc),
+            "now": sim.engine.now,
             "batches_completed": len(self.batches),
             "open_batch": (
                 self.open_batch.index if self.open_batch is not None else None
             ),
             "recent_batches": [feature_row(self, b) for b in recent],
             "events": self.flight.snapshot(),
+            "state": sim.state_snapshot(),
+            "fault_buffer": sim.runtime.fault_buffer.counters(),
         }
-        dump.update(extra)
-        if self.session is not None:
-            self.session.failure_dumps.append(dump)
-        return dump
 
 
 class AnalyticsSession:
@@ -343,12 +424,9 @@ class AnalyticsSession:
     def __init__(self, flight_events: int = 64) -> None:
         self.flight_events = flight_events
         self.runs: list[RunAnalytics] = []
-        self.failure_dumps: list[dict] = []
 
     def open_run(self, workload: str, num_sms: int) -> RunAnalytics:
-        run = RunAnalytics(
-            workload, num_sms, flight_events=self.flight_events, session=self
-        )
+        run = RunAnalytics(workload, num_sms, flight_events=self.flight_events)
         self.runs.append(run)
         return run
 

@@ -1,9 +1,10 @@
-"""Human-readable text summary of one observability session.
+"""Human-readable text views of one observability session.
 
 ``render_report`` digests the tracer (per-track span counts and busy
 time) and the metric registry (counters, gauges, histogram tails) into an
 aligned text block — the quick look you print after a run when you don't
-want to open the full trace in Perfetto.
+want to open the full trace in Perfetto.  ``render_batches`` draws one
+run's batches as the paper's Figure 2.
 """
 
 from __future__ import annotations
@@ -116,4 +117,67 @@ def render_report(tracer: Tracer, registry: MetricRegistry) -> str:
     lines.append("metrics")
     lines.append("-------")
     lines.extend(_metric_table(registry))
+    return "\n".join(lines)
+
+
+def render_batches(
+    tracer: Tracer,
+    scope: int | None = None,
+    max_batches: int = 8,
+    width: int = 72,
+) -> str:
+    """ASCII rendering of a run's first ``max_batches`` batch lanes.
+
+    The paper's Figure 2, drawn from one sim scope of a tracer (default:
+    the most recently opened): ``#`` marks the GPU-runtime fault-handling
+    window, ``=`` the migration stream, ``!`` eviction starts, ``*``
+    page arrivals.  One lane per batch, a shared time axis in cycles.
+    Arrival markers exist only in ``full`` mode.
+    """
+    if scope is None:
+        scope = len(tracer.scopes()) - 1
+    handling, ends = {}, {}  # batch index -> (begin, first migration) / end
+    marks = {"!": [], "*": []}  # eviction starts, then arrivals on top
+    for event in tracer.events:
+        if event.scope != scope:
+            continue
+        if event.track == "batches":
+            kind, _, index = event.name.rpartition(" ")
+            if kind == "fault handling":
+                handling[int(index)] = (event.ts, event.ts + event.dur)
+            elif kind == "batch":
+                ends[int(index)] = event.ts + event.dur
+        elif event.track == "eviction":
+            marks["!"].append(event.ts)
+        elif event.name == "page arrival":
+            marks["*"].append(event.ts)
+    lanes = list(handling.items())[:max_batches]
+    if not lanes:
+        return "(no batches recorded)"
+    t0 = lanes[0][1][0]
+    t1 = max((ends[i] for i, _ in lanes if i in ends), default=t0 + 1)
+    span = max(1, t1 - t0)
+
+    def column(time: float) -> int:
+        return min(width - 1, max(0, int((time - t0) * (width - 1) // span)))
+
+    lines = [
+        f"batch timeline: {t0} .. {t1} cycles "
+        f"(# fault handling, = migration, ! eviction, * arrival)"
+    ]
+    for index, (begin, fht_end) in lanes:
+        end = ends.get(index, t1)
+        lane = [" "] * width
+        for c in range(column(begin), column(fht_end) + 1):
+            lane[c] = "#"
+        for c in range(column(fht_end), column(end) + 1):
+            if lane[c] == " ":
+                lane[c] = "="
+        for glyph, times in marks.items():
+            for time in times:
+                if begin <= time <= end:
+                    lane[column(time)] = glyph
+        lines.append(f"B{index:<3d} |{''.join(lane)}|")
+    if tracer.dropped:
+        lines.append(f"({tracer.dropped} events dropped beyond the cap)")
     return "\n".join(lines)

@@ -6,15 +6,10 @@ the paper's Table 1 configuration).
 """
 
 from repro.sim.engine import Engine, HeapEngine
-from repro.sim.stats import Counter, Histogram, StatsCollector
-from repro.sim.timeline import Timeline, render_batches
+from repro.sim.stats import Histogram
 
 __all__ = [
     "Engine",
     "HeapEngine",
-    "Counter",
     "Histogram",
-    "StatsCollector",
-    "Timeline",
-    "render_batches",
 ]

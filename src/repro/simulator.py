@@ -56,6 +56,7 @@ from repro.gpu.warp_soa import (
 from repro.invariants import InvariantChecker, Watchdog
 from repro.lifecycle import WARP_LIFECYCLE, TransitionValidator
 from repro.obs import current as _current_obs
+from repro.obs.observer import fan_out
 from repro.sim.engine import Engine
 from repro.uvm.compression import CapacityCompression
 from repro.uvm.eviction import make_eviction_strategy
@@ -195,7 +196,6 @@ class GpuUvmSimulator:
         self,
         workload: Workload,
         config: SimConfig,
-        timeline=None,
         obs=None,
         backend: str = "soa",
     ) -> None:
@@ -212,7 +212,6 @@ class GpuUvmSimulator:
         self.backend = backend
         self.workload = workload
         self.config = config
-        self.timeline = timeline
         #: The :class:`repro.obs.Observability` session instrumenting this
         #: run: the one passed explicitly, else the globally installed one
         #: (``repro.obs.configure``/``session``), else None — fully off.
@@ -261,10 +260,6 @@ class GpuUvmSimulator:
             self._wake_warps_soa if backend == "soa" else self._wake_warps
         )
         self.runtime.on_evict = self._on_evict
-        self.runtime.timeline = timeline
-        self.runtime.obs = self.obs
-        self.runtime.fault_buffer.obs = self.obs
-        self.pcie.attach_obs(self.obs)
 
         #: Fault-injection session (:mod:`repro.chaos`); built from
         #: ``config.chaos`` and attached to every injection site.  None
@@ -288,7 +283,6 @@ class GpuUvmSimulator:
                 page_table=self.page_table,
                 runtime=self.runtime,
             )
-            self.runtime.invariants = self.invariants
             # Transition-level hooks: every declared lifecycle move is
             # reported to the checker's counting observer.
             self.engine.lifecycle.observer = self.invariants.on_transition
@@ -302,16 +296,16 @@ class GpuUvmSimulator:
 
         self.to_controller = ThreadOversubscriptionController(config.to)
 
-        #: Per-run analytics (:mod:`repro.obs.analytics`): opened only
-        #: when the obs session was built with ``analytics=True``; every
-        #: hot-path hook below guards on ``self._an is not None``.
-        self._an = None
-        if self.obs is not None:
-            analytics = getattr(self.obs, "analytics", None)
-            if analytics is not None:
-                self._an = analytics.open_run(workload.name, config.gpu.num_sms)
-                self._an.oversub_probe = self._extra_blocks_allowed
-                self.runtime.analytics = self._an
+        #: The one observer every model component reports to
+        #: (:mod:`repro.obs.observer`): the obs session's subscribers,
+        #: then the invariant checker.  None when nothing is attached.
+        recorders = [] if self.obs is None else self.obs.open_run(
+            workload.name, gpu.num_sms, self._extra_blocks_allowed
+        )
+        self.observer = fan_out([*recorders, self.invariants])
+        self.runtime.observer = self.observer
+        self.runtime.fault_buffer.observer = self.observer
+        self.pcie.h2d.observer = self.pcie.d2h.observer = self.observer
 
         self.lifetime_monitor = PageLifetimeMonitor(
             self.engine,
@@ -484,7 +478,7 @@ class GpuUvmSimulator:
         attach diagnostics (flight recorder) and, for stalls, write a
         resumable checkpoint instead of discarding the finished work."""
         previous_scope = None
-        scoped = self.obs is not None and self._obs_scope is not None
+        scoped = self._obs_scope is not None  # set by run() under a session
         if scoped:
             previous_scope = self.obs.tracer.set_scope(self._obs_scope)
         try:
@@ -505,7 +499,7 @@ class GpuUvmSimulator:
                 self.invariants.on_quiescence(self.engine.now)
             return self._build_result()
         except SimulationStalledError as exc:
-            self._attach_flight(exc)
+            self._report_failure(exc)
             # A stall (watchdog timeout / wall budget) leaves the engine
             # *between events* — the watchdog ticks after each step — so
             # the state is consistent and worth keeping.  The checkpoint
@@ -519,26 +513,16 @@ class GpuUvmSimulator:
         except (InvariantViolation, InjectionError) as exc:
             # No checkpoint here: these raise mid-callback, where queue
             # counters and component state may be inconsistent.
-            self._attach_flight(exc)
+            self._report_failure(exc)
             raise
         finally:
             if scoped:
                 self.obs.tracer.set_scope(previous_scope)
 
-    def _attach_flight(self, exc) -> None:
-        an = self._an
-        if an is not None:
-            # Flight-recorder dump: recent batch records + engine
-            # events, attached as an *attribute* (ReproError.__reduce__
-            # preserves __dict__, so the dump survives worker-process
-            # pickling and lands in the runner's failure snapshots).
-            exc.flight_recorder = an.failure_dump(
-                error_type=type(exc).__name__,
-                message=str(exc),
-                now=self.engine.now,
-                state=self.state_snapshot(),
-                fault_buffer=self.runtime.fault_buffer.counters(),
-            )
+    def _report_failure(self, exc) -> None:
+        # With analytics on, the flight-recorder dump rides on ``exc``.
+        if self.observer is not None:
+            self.observer.run_failed(self, exc)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -673,16 +657,11 @@ class GpuUvmSimulator:
             if self.etc.triggered and self.etc.throttling:
                 for sm in self.etc.throttled_sms:
                     sm.set_throttled(True)
-        an = self._an
-        if an is not None:
+        observer = self.observer
+        if observer is not None:
             for sm in self._sms:
-                sm.analytics = an
-            an.flight.record(
-                "kernel_start",
-                self.engine.now,
-                kernel=self._kernel_index,
-                blocks=len(blocks),
-            )
+                sm.observer = observer
+            observer.kernel_start(self._kernel_index, len(blocks), self.engine.now)
 
         extra = self._extra_blocks_allowed
         self._dispatcher = Dispatcher(
@@ -777,19 +756,11 @@ class GpuUvmSimulator:
             self._dispatcher.top_up()
 
     def _on_kernel_done(self) -> None:
-        obs = self.obs
         for sm in self._sms:
             self._context_switches += sm.context_switches
             self._switch_cycles += sm.switch_cycles_spent
-            if obs is not None:
-                if sm.context_switches:
-                    obs.metrics.counter(
-                        "sm.context_switches", sm=sm.sm_id
-                    ).inc(sm.context_switches)
-                if sm.switch_cycles_spent:
-                    obs.metrics.counter(
-                        "sm.switch_cycles", sm=sm.sm_id
-                    ).inc(sm.switch_cycles_spent)
+        if self.observer is not None:
+            self.observer.kernel_done(self._sms)
         self.engine.schedule(0, self._start_next_kernel)
 
     def _finish(self) -> None:
@@ -858,17 +829,14 @@ class GpuUvmSimulator:
             if not result.resident:
                 missing.append(page)
 
-        an = self._an
+        observer = self.observer
         if missing:
-            if an is not None:
-                # Busy cycles leading up to the faulting access; charged
-                # to ``replay`` when this issue is a post-stall re-issue.
-                cycles = self._compute_cycles(op)
-                if warp.replay_pending:
-                    warp.replay_pending = False
-                    an.attr.replay[sm.sm_id] += cycles
-                else:
-                    an.attr.compute[sm.sm_id] += cycles
+            if observer is not None:
+                # Busy cycles leading up to the faulting access.
+                observer.op_busy(
+                    sm.sm_id, self._compute_cycles(op), warp.replay_pending
+                )
+                warp.replay_pending = False
             warp.stall_on(missing, now, 0)
             for page in missing:
                 self._unique_fault_pages.add(page)
@@ -894,15 +862,13 @@ class GpuUvmSimulator:
             warp.mem_wait = True
             sm.on_warp_mem_wait(warp)
 
-        if an is not None:
+        if observer is not None:
             # Busy cycles of the retiring op: its issue compute plus the
             # translation + data latency it just paid.
-            cycles = self._compute_cycles(op) + total
-            if warp.replay_pending:
-                warp.replay_pending = False
-                an.attr.replay[sm.sm_id] += cycles
-            else:
-                an.attr.compute[sm.sm_id] += cycles
+            observer.op_busy(
+                sm.sm_id, self._compute_cycles(op) + total, warp.replay_pending
+            )
+            warp.replay_pending = False
         warp.advance()
         if warp.finished:
             self.engine.schedule(total, warp.complete_event)
@@ -1022,17 +988,15 @@ class GpuUvmSimulator:
                 latency = lat
 
         if missing is not None:
-            an = self._an
-            if an is not None:
+            observer = self.observer
+            if observer is not None:
                 # Mirror of the object path's fault-issue busy charge
                 # (op_compute is pre-scaled, so values are identical).
-                cycles = store.op_compute[i][pc]
                 replay_pending = store.replay_pending
-                if replay_pending[i]:
-                    replay_pending[i] = False
-                    an.attr.replay[sm.sm_id] += cycles
-                else:
-                    an.attr.compute[sm.sm_id] += cycles
+                observer.op_busy(
+                    sm.sm_id, store.op_compute[i][pc], replay_pending[i]
+                )
+                replay_pending[i] = False
             warp.stall_on(missing, now, 0)
             unique_fault_pages = self._unique_fault_pages
             raise_fault = self.runtime.raise_fault
@@ -1111,16 +1075,14 @@ class GpuUvmSimulator:
             if sm.forced_oversubscription:
                 sm.on_warp_mem_wait(warp)
 
-        an = self._an
-        if an is not None:
+        observer = self.observer
+        if observer is not None:
             # Mirror of the object path's retire busy charge.
-            cycles = store.op_compute[i][pc] + total
             replay_pending = store.replay_pending
-            if replay_pending[i]:
-                replay_pending[i] = False
-                an.attr.replay[sm.sm_id] += cycles
-            else:
-                an.attr.compute[sm.sm_id] += cycles
+            observer.op_busy(
+                sm.sm_id, store.op_compute[i][pc] + total, replay_pending[i]
+            )
+            replay_pending[i] = False
         pc += 1
         store.pc[i] = pc
         compute = store.op_compute[i]
@@ -1163,37 +1125,28 @@ class GpuUvmSimulator:
     # ------------------------------------------------------------------
     # Runtime callbacks
     # ------------------------------------------------------------------
+    def _end_stall(self, warp, block, start: int, now: int) -> None:
+        """Report a finished fault stall and mark the next issue a replay;
+        every wake branch reports, so attribution tiles the stall time."""
+        sm = block.sm
+        self.observer.stall_end(
+            None if sm is None else sm.sm_id,
+            warp.warp_id,
+            start,
+            now,
+            block.state is BlockState.ACTIVE and not sm.throttled,
+        )
+        warp.replay_pending = True
+
     def _wake_warp(self, warp: Warp) -> None:
         block = warp.block
-        an = self._an
-        if an is not None:
-            sm0 = block.sm
-            an.record_stall(
-                sm0.sm_id if sm0 is not None else an.attr.num_sms,
-                warp.stall_start,
-                self.engine.now,
-            )
-            warp.replay_pending = True
+        if self.observer is not None:
+            self._end_stall(warp, block, warp.stall_start, self.engine.now)
         if block.state is BlockState.ACTIVE:
             sm: StreamingMultiprocessor = block.sm
             if sm.throttled:
                 sm.park(warp)
                 return
-            obs = self.obs
-            if obs is not None:
-                # Per-SM/warp stall attribution: the warp stalled on a
-                # fault at ``stall_start`` and resumes now.
-                now = self.engine.now
-                stalled = now - warp.stall_start
-                obs.tracer.complete(
-                    f"sm{sm.sm_id}",
-                    "warp stall",
-                    warp.stall_start,
-                    now,
-                    warp=warp.warp_id,
-                )
-                obs.metrics.counter("sm.stall_cycles", sm=sm.sm_id).inc(stalled)
-                obs.metrics.histogram("sm.warp_stall_cycles", 1000).record(stalled)
             # Replay the faulted access: re-issue the current op.  The
             # compute charged by _schedule_warp stands in for the fault
             # replay overhead.
@@ -1206,51 +1159,26 @@ class GpuUvmSimulator:
     def _wake_warps(self, page: int, now: int, waiters) -> None:
         """Batched page-arrival fan-out: one call wakes every waiter.
 
-        Same per-warp logic as :meth:`_wake_warp`, with the obs guard,
+        Same per-warp logic as :meth:`_wake_warp`, with the observer,
         clock read, and method lookups hoisted out of the loop.  Per-warp
         *order* is load-bearing and must match the unbatched path: a
         wake's side effects (block activation, context-switch decisions
         reading co-waiters' states) are observable to later waiters, so
         each waiter is notified and woken before the next is notified.
         """
-        obs = self.obs
-        an = self._an
+        observer = self.observer
         schedule_warp = self._schedule_warp
         for warp in waiters:
             if not warp.page_arrived(page, now):
                 continue
             block = warp.block
-            if an is not None:
-                # Decompose the just-finished stall interval in *every*
-                # wake branch (active, suspended, inactive) so the bucket
-                # totals tile stalled_cycles exactly.
-                sm0 = block.sm
-                an.record_stall(
-                    sm0.sm_id if sm0 is not None else an.attr.num_sms,
-                    warp.stall_start,
-                    now,
-                )
-                warp.replay_pending = True
+            if observer is not None:
+                self._end_stall(warp, block, warp.stall_start, now)
             if block.state is BlockState.ACTIVE:
                 sm: StreamingMultiprocessor = block.sm
                 if sm.throttled:
                     sm.park(warp)
                     continue
-                if obs is not None:
-                    stalled = now - warp.stall_start
-                    obs.tracer.complete(
-                        f"sm{sm.sm_id}",
-                        "warp stall",
-                        warp.stall_start,
-                        now,
-                        warp=warp.warp_id,
-                    )
-                    obs.metrics.counter("sm.stall_cycles", sm=sm.sm_id).inc(
-                        stalled
-                    )
-                    obs.metrics.histogram("sm.warp_stall_cycles", 1000).record(
-                        stalled
-                    )
                 schedule_warp(warp, 0)
                 continue
             warp.state = WarpState.SUSPENDED
@@ -1263,8 +1191,7 @@ class GpuUvmSimulator:
         Preserves the same load-bearing per-warp order: each waiter is
         notified and fully woken before the next is notified.
         """
-        obs = self.obs
-        an = self._an
+        observer = self.observer
         schedule_warp = self._schedule_warp_soa
         for warp in waiters:
             store = warp.store
@@ -1282,35 +1209,13 @@ class GpuUvmSimulator:
             store.stalled_cycles[i] += now - stall_start
             state[i] = SOA_READY
             block = warp.block
-            if an is not None:
-                # Same every-branch decomposition as the object path.
-                sm0 = block.sm
-                an.record_stall(
-                    sm0.sm_id if sm0 is not None else an.attr.num_sms,
-                    stall_start,
-                    now,
-                )
-                store.replay_pending[i] = True
+            if observer is not None:
+                self._end_stall(warp, block, stall_start, now)
             if block.state is BlockState.ACTIVE:
                 sm: StreamingMultiprocessor = block.sm
                 if sm.throttled:
                     sm.park(warp)
                     continue
-                if obs is not None:
-                    stalled = now - stall_start
-                    obs.tracer.complete(
-                        f"sm{sm.sm_id}",
-                        "warp stall",
-                        stall_start,
-                        now,
-                        warp=warp.warp_id,
-                    )
-                    obs.metrics.counter("sm.stall_cycles", sm=sm.sm_id).inc(
-                        stalled
-                    )
-                    obs.metrics.histogram("sm.warp_stall_cycles", 1000).record(
-                        stalled
-                    )
                 schedule_warp(warp, 0)
                 continue
             state[i] = SOA_SUSPENDED
@@ -1337,29 +1242,6 @@ class GpuUvmSimulator:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def _flush_obs(self, result: SimulationResult) -> None:
-        """Final per-run aggregates into the session's metric registry."""
-        metrics = self.obs.metrics
-        name = result.workload
-        metrics.gauge("sim.exec_cycles", workload=name).set(result.exec_cycles)
-        metrics.gauge("sim.batches", workload=name).set(
-            result.batch_stats.num_batches
-        )
-        metrics.gauge("sim.warp_stall_cycles", workload=name).set(
-            result.warp_stall_cycles
-        )
-        metrics.gauge("sim.faults_raised", workload=name).set(result.faults_raised)
-        metrics.gauge("fault_buffer.peak_occupancy").set(
-            self.runtime.fault_buffer.peak_occupancy
-        )
-        for channel in (self.pcie.h2d, self.pcie.d2h):
-            metrics.counter("dma.pages", channel=channel.name).inc(
-                channel.pages_transferred
-            )
-            metrics.counter("dma.busy_cycles", channel=channel.name).inc(
-                channel.busy_cycles
-            )
-
     def _build_result(self) -> SimulationResult:
         stats = self.runtime.batch_stats
         l1_hits = sum(t.hits for t in self.mmu.l1_tlbs)
@@ -1407,10 +1289,8 @@ class GpuUvmSimulator:
             )
         if self.invariants is not None:
             result.extras["invariant_checks"] = self.invariants.checks_run
-        if self.obs is not None:
-            self._flush_obs(result)
-        if self._an is not None:
-            self._an.finish(result)
+        if self.observer is not None:
+            self.observer.run_finished(self, result)
         return result
 
 

@@ -47,9 +47,9 @@ class FaultBuffer:
         self.peak_occupancy = 0
         self.chaos_dropped = 0
         self.chaos_duplicated = 0
-        #: Optional :class:`repro.obs.Observability` session (occupancy
-        #: gauge, overflow markers); None keeps push/drain un-instrumented.
-        self.obs = None
+        #: Optional :class:`repro.obs.observer.SimObserver` told of
+        #: occupancy, overflows and drains.
+        self.observer = None
         #: Optional :class:`repro.chaos.ChaosSession`; when set, pushes may
         #: be dropped (lost replayable faults) or duplicated (replay
         #: storms).  None keeps the push path unperturbed.
@@ -71,7 +71,7 @@ class FaultBuffer:
         unbounded re-drops would deadlock the waiting warps).
         """
         self.total_faults += 1
-        obs = self.obs
+        observer = self.observer
         chaos = self.chaos
         if chaos is not None and not replay:
             action = chaos.fault_entry_action(entry.page, entry.time)
@@ -83,30 +83,24 @@ class FaultBuffer:
                 self._entries.append(entry)
                 self._pages.add(entry.page)
                 # The duplicate occupies real capacity, so it counts
-                # toward peak occupancy and the live gauge exactly like
-                # the normal append below — in particular when the
+                # toward peak occupancy and the reported occupancy exactly
+                # like the normal append below — in particular when the
                 # duplicate is what fills the buffer and the original
                 # entry overflows.
                 if len(self._entries) > self.peak_occupancy:
                     self.peak_occupancy = len(self._entries)
-                if obs is not None and obs.full:
-                    obs.metrics.gauge("fault_buffer.occupancy").set(
-                        len(self._entries)
-                    )
+                if observer is not None:
+                    observer.fault_buffered(len(self._entries))
         if len(self._entries) >= self.capacity:
             self.overflow_faults += 1
-            if obs is not None:
-                obs.metrics.counter("fault_buffer.overflows").inc()
-                if obs.full:
-                    obs.tracer.instant(
-                        "fault_buffer", "overflow", entry.time, page=entry.page
-                    )
+            if observer is not None:
+                observer.fault_overflow(entry.page, entry.time)
             return False
         self._entries.append(entry)
         self._pages.add(entry.page)
         self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
-        if obs is not None and obs.full:
-            obs.metrics.gauge("fault_buffer.occupancy").set(len(self._entries))
+        if observer is not None:
+            observer.fault_buffered(len(self._entries))
         return True
 
     def drain(self) -> list[FaultEntry]:
@@ -114,22 +108,13 @@ class FaultBuffer:
         entries = self._entries
         self._entries = []
         self._pages = set()
-        obs = self.obs
-        if obs is not None:
-            obs.metrics.histogram("fault_buffer.drained_entries", 16).record(
-                len(entries)
-            )
-            if obs.full:
-                obs.metrics.gauge("fault_buffer.occupancy").set(0)
+        if self.observer is not None:
+            self.observer.fault_drained(len(entries))
         return entries
 
     def counters(self) -> dict[str, int]:
-        """Snapshot of the cumulative buffer counters.
-
-        The analytics layer diffs consecutive snapshots to attribute
-        overflows (and chaos perturbations) to individual batches, and
-        embeds one in every flight-recorder failure dump.
-        """
+        """Snapshot of the cumulative buffer counters (embedded in every
+        flight-recorder failure dump)."""
         return {
             "total_faults": self.total_faults,
             "overflow_faults": self.overflow_faults,

@@ -36,14 +36,13 @@ class DmaChannel:
         self.busy_cycles = 0
         self.stall_retries = 0
         self.stall_cycles = 0
-        #: Optional :class:`repro.obs.Observability` session; when set,
-        #: every transfer becomes a span on the ``dma.<name>`` track.
-        self.obs = None
+        #: Optional :class:`repro.obs.observer.SimObserver` told of every
+        #: transfer; None keeps enqueue un-instrumented.
+        self.observer = None
         #: Optional :class:`repro.chaos.ChaosSession`; when set, transfers
         #: may stall/fail and retry with exponential backoff (the
         #: ``dma-stall`` injector).  None keeps enqueue unperturbed.
         self.chaos = None
-        self._track = f"dma.{name}"
 
     def enqueue(self, now: int, duration: int | None = None) -> tuple[int, int]:
         """Enqueue one page transfer at ``now``; return (start, finish).
@@ -68,13 +67,9 @@ class DmaChannel:
         self.busy_until = finish
         self.pages_transferred += 1
         self.busy_cycles += total
-        obs = self.obs
-        if obs is not None:
-            obs.tracer.complete(self._track, "page transfer", start, finish)
+        if self.observer is not None:
+            self.observer.dma_transfer(self.name, start, finish)
         return start, finish
-
-    def reset_clock(self) -> None:
-        self.busy_until = 0
 
 
 class PcieModel:
@@ -106,11 +101,6 @@ class PcieModel:
         self.d2h = DmaChannel(
             "d2h", max(1, round(uvm.d2h_cycles_per_page() / ratio))
         )
-
-    def attach_obs(self, obs) -> None:
-        """Route both channels' transfer spans to an obs session."""
-        self.h2d.obs = obs
-        self.d2h.obs = obs
 
     def attach_chaos(self, chaos) -> None:
         """Route both channels through a chaos session (DMA stalls)."""

@@ -81,13 +81,14 @@ def test_chaos_duplicate_counts_toward_peak_occupancy():
 
 def test_chaos_duplicate_that_fills_buffer_updates_peak_and_gauge():
     from repro.obs import Observability
+    from repro.obs.observer import RunRecorder
 
     # The duplicate fills the only slot, so the original overflows; the
     # peak and the live occupancy gauge must still reflect the duplicate.
     buf = FaultBuffer(1)
     buf.chaos = _AlwaysDup()
     session = Observability("full")
-    buf.obs = session
+    buf.observer = RunRecorder(session)
     assert not buf.push(entry(3))
     assert len(buf) == 1
     assert buf.peak_occupancy == 1

@@ -280,6 +280,25 @@ class TestOneRunPerCell:
             ratios = fig17_oversubscription_sweep.RATIOS
             assert len(failures) == 1 + 2 * len(ratios) - 1
 
+    def test_failure_records_name_their_cell(self, harness):
+        use_policy(
+            on_error="keep-going",
+            chaos=parse_chaos_spec("fail-batch:batch=2", seed=0),
+        )
+        fig17_oversubscription_sweep.run(scale="tiny")
+        failures = common.drain_failures()
+        ratios = fig17_oversubscription_sweep.RATIOS
+        assert len(failures) == 1 + 2 * len(ratios) - 1
+        records = [failure.to_dict() for failure in failures]
+        cells = {record["context"]["cell"] for record in records}
+        assert len(cells) == len(records), "two records name one cell"
+        for system in ("BASELINE", "UE"):
+            swept = [f.context["ratio"] for f in failures if f.system == system]
+            assert sorted(swept) == sorted(ratios)
+        for failure in failures:
+            assert "fault_handling_cycles" in failure.context
+            assert f"@{failure.context['ratio']}:" in failure.summary()
+
 
 class TestCellTimeout:
     # ratio=0.5 keeps the cell above the watchdog's 8192-event sampling

@@ -79,29 +79,28 @@ def test_prefetch_respects_valid_pages():
 
 
 def test_ue_preemptive_eviction_inside_fht_window():
-    from repro.sim.timeline import Timeline
+    from repro.obs import Observability
+    from repro.obs.observer import RunRecorder
 
     engine, runtime = make_runtime(frames=2, eviction=UnobtrusiveEviction())
-    timeline = Timeline()
-    runtime.timeline = timeline
+    session = Observability("full")
+    runtime.observer = RunRecorder(session)
     for page in (100, 101):
         runtime.raise_fault(page, None)
     engine.run()
     for page in (102, 103):
         runtime.raise_fault(page, None)
     engine.run()
-    batch = timeline.of_kind("batch_begin")[-1]
-    first_migration = timeline.of_kind("first_migration")[-1]
-    evicts = [
-        e for e in timeline.of_kind("evict_start") if e.time >= batch.time
-    ]
+    batch = [
+        e for e in session.tracer.of_track("batches")
+        if e.name.startswith("fault handling")
+    ][-1]
+    first_migration = batch.ts + batch.dur
+    evicts = [e for e in session.tracer.of_track("eviction") if e.ts >= batch.ts]
     # The preemptive eviction starts right at batch begin and its transfer
     # fits within the fault handling window.
-    assert evicts[0].time == batch.time
-    assert (
-        evicts[0].time + runtime.pcie.d2h_cycles_per_page
-        <= first_migration.time
-    )
+    assert evicts[0].ts == batch.ts
+    assert evicts[0].ts + runtime.pcie.d2h_cycles_per_page <= first_migration
 
 
 def test_batch_demand_counts_exclude_prefetch():

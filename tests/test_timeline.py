@@ -1,103 +1,38 @@
-"""Tests for the timeline tracer and its Figure-2-style rendering."""
+"""Tests for the Figure-2-style batch timeline drawn from a tracer."""
 
 import pytest
 
-from repro import GpuUvmSimulator, build_workload, systems
-from repro.sim.timeline import Timeline, render_batches, summarize
+from repro import GpuUvmSimulator, Observability, build_workload, systems
+from repro.obs import render_batches
+from repro.obs.tracer import Tracer
+
+
+def run_tracer() -> Tracer:
+    """A tracer with one open sim scope, as a simulation leaves it."""
+    tracer = Tracer(max_events=200_000)
+    tracer.set_scope(tracer.open_scope("run"))
+    return tracer
+
+
+def record_batch(tracer, index, begin, first_migration, end):
+    tracer.complete("batches", f"fault handling {index}", begin, first_migration)
+    tracer.complete("batches", f"batch {index}", begin, end)
 
 
 class TestTimeline:
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            Timeline(max_events=0)
-
-    def test_record_and_query(self):
-        tl = Timeline()
-        tl.record(10, "batch_begin", value=0)
-        tl.record(20, "page_arrival", detail="0x10")
-        assert len(tl) == 2
-        assert tl.kinds() == {"batch_begin", "page_arrival"}
-        assert tl.of_kind("page_arrival")[0].time == 20
-
-    def test_between(self):
-        tl = Timeline()
-        for t in (5, 15, 25):
-            tl.record(t, "x")
-        assert len(tl.between(10, 20)) == 1
-
-    def test_cap_drops_and_counts(self):
-        tl = Timeline(max_events=2)
-        tl.record(0, "x")
-        tl.record(1, "x")
-        with pytest.warns(RuntimeWarning, match="max_events=2"):
-            tl.record(2, "x")
-        # Only the first drop warns; later drops are silent but counted.
-        tl.record(3, "x")
-        tl.record(4, "x")
-        assert len(tl) == 2
-        assert tl.dropped == 3
-        assert summarize(tl)["dropped"] == 3
-
-    def test_summarize(self):
-        tl = Timeline()
-        tl.record(1, "a")
-        tl.record(2, "a")
-        tl.record(3, "b")
-        assert summarize(tl) == {"a": 2, "b": 1}
-
-    def test_of_kind_returns_independent_copy(self):
-        tl = Timeline()
-        tl.record(1, "a")
-        first = tl.of_kind("a")
-        first.append("junk")
-        assert len(tl.of_kind("a")) == 1
-        assert tl.of_kind("missing") == []
-
-    def test_between_with_out_of_order_records(self):
-        """A future-dated record (e.g. first_migration) must not lose
-        events for the bisect fast path."""
-        tl = Timeline()
-        tl.record(10, "batch_begin", value=0)
-        tl.record(500, "first_migration", value=0)  # ahead of the clock
-        tl.record(20, "page_arrival")
-        tl.record(30, "page_arrival")
-        got = tl.between(15, 40)
-        assert [e.time for e in got] == [20, 30]
-        assert [e.time for e in tl.between(0, 1000)] == [10, 500, 20, 30]
-
-    def test_large_timeline_queries_stay_fast(self):
-        """Regression for the O(n)-scan ``of_kind``/``between``: on a
-        100k-event timeline, per-kind queries and windowed lookups must
-        answer from the index, i.e. orders of magnitude under a full
-        scan per call.  Budget: 2000 queries well under a second."""
-        import time as _time
-
-        tl = Timeline(max_events=100_000)
-        for t in range(100_000):
-            tl.record(t, f"kind{t % 50}")
-        start = _time.perf_counter()
-        for _ in range(1000):
-            assert len(tl.of_kind("kind7")) == 2000
-        for lo in range(0, 100_000, 100):
-            tl.between(lo, lo + 10)
-        elapsed = _time.perf_counter() - start
-        assert elapsed < 1.0, f"indexed queries took {elapsed:.2f}s"
-
     def test_render_batches_on_large_timeline(self):
         """render_batches used to re-scan the whole timeline per lane."""
         import time as _time
 
-        tl = Timeline(max_events=200_000)
+        tracer = run_tracer()
         for i in range(1000):
             t = i * 100
-            tl.record(t, "batch_begin", value=i)
-            tl.record(t + 20, "first_migration", value=i)
+            record_batch(tracer, i, t, t + 20, t + 90)
             for k in range(40):
-                tl.record(t + 30 + k, "page_arrival")
-            tl.record(t + 80, "evict_start")
-            tl.record(t + 90, "batch_end", value=i)
+                tracer.instant("uvm", "page arrival", t + 30 + k)
+            tracer.instant("eviction", "evict", t + 80)
         start = _time.perf_counter()
-        text = render_batches(tl, max_batches=50)
+        text = render_batches(tracer, max_batches=50)
         elapsed = _time.perf_counter() - start
         assert "B49" in text
         assert elapsed < 1.0, f"render took {elapsed:.2f}s"
@@ -105,16 +40,14 @@ class TestTimeline:
 
 class TestRendering:
     def test_empty_timeline(self):
-        assert "no batches" in render_batches(Timeline())
+        assert "no batches" in render_batches(Tracer())
 
     def test_render_contains_lanes_and_markers(self):
-        tl = Timeline()
-        tl.record(0, "batch_begin", value=0)
-        tl.record(100, "first_migration", value=0)
-        tl.record(150, "evict_start")
-        tl.record(200, "page_arrival")
-        tl.record(300, "batch_end", value=0)
-        text = render_batches(tl)
+        tracer = run_tracer()
+        record_batch(tracer, 0, 0, 100, 300)
+        tracer.instant("eviction", "evict", 150)
+        tracer.instant("uvm", "page arrival", 200)
+        text = render_batches(tracer)
         assert "B0" in text
         assert "#" in text
         assert "=" in text
@@ -122,47 +55,54 @@ class TestRendering:
         assert "!" in text
 
     def test_render_respects_max_batches(self):
-        tl = Timeline()
+        tracer = run_tracer()
         for i in range(10):
-            tl.record(i * 100, "batch_begin", value=i)
-            tl.record(i * 100 + 50, "batch_end", value=i)
-        text = render_batches(tl, max_batches=3)
+            record_batch(tracer, i, i * 100, i * 100, i * 100 + 50)
+        text = render_batches(tracer, max_batches=3)
         assert "B2" in text
         assert "B3" not in text
 
 
+@pytest.fixture(scope="module")
+def full_run():
+    workload = build_workload("KCORE", scale="tiny")
+    config = systems.BASELINE.configure(workload)
+    session = Observability("full")
+    result = GpuUvmSimulator(workload, config, obs=session).run()
+    return session.tracer, result
+
+
+def batch_spans(tracer, kind):
+    return {
+        int(e.name.rpartition(" ")[2]): e
+        for e in tracer.of_track("batches")
+        if e.name.rpartition(" ")[0] == kind
+    }
+
+
 class TestSimulatorIntegration:
-    def test_simulation_populates_timeline(self):
-        workload = build_workload("KCORE", scale="tiny")
-        config = systems.BASELINE.configure(workload)
-        timeline = Timeline()
-        GpuUvmSimulator(workload, config, timeline=timeline).run()
-        counts = summarize(timeline)
-        assert counts["batch_begin"] == counts["batch_end"]
-        assert counts["page_arrival"] > 0
-        assert counts["evict_start"] > 0
+    def test_simulation_populates_timeline(self, full_run):
+        tracer, _ = full_run
+        assert batch_spans(tracer, "fault handling").keys() == (
+            batch_spans(tracer, "batch").keys()
+        )
+        assert tracer.of_track("uvm")
+        assert tracer.of_track("eviction")
 
-    def test_arrivals_match_migrated_pages(self):
-        workload = build_workload("KCORE", scale="tiny")
-        config = systems.BASELINE.configure(workload)
-        timeline = Timeline()
-        result = GpuUvmSimulator(workload, config, timeline=timeline).run()
-        assert summarize(timeline)["page_arrival"] == result.migrated_pages
+    def test_arrivals_match_migrated_pages(self, full_run):
+        tracer, result = full_run
+        arrivals = [e for e in tracer.of_track("uvm") if e.name == "page arrival"]
+        assert len(arrivals) == result.migrated_pages
 
-    def test_batch_events_are_ordered(self):
-        workload = build_workload("KCORE", scale="tiny")
-        config = systems.BASELINE.configure(workload)
-        timeline = Timeline()
-        GpuUvmSimulator(workload, config, timeline=timeline).run()
-        begins = {e.value: e.time for e in timeline.of_kind("batch_begin")}
-        ends = {e.value: e.time for e in timeline.of_kind("batch_end")}
-        firsts = {e.value: e.time for e in timeline.of_kind("first_migration")}
-        for index, begin in begins.items():
-            assert begin <= firsts[index] <= ends[index]
+    def test_batch_events_are_ordered(self, full_run):
+        tracer, _ = full_run
+        ends = batch_spans(tracer, "batch")
+        for index, span in batch_spans(tracer, "fault handling").items():
+            assert span.ts <= span.ts + span.dur <= ends[index].ts + ends[index].dur
 
     def test_no_timeline_by_default(self):
         workload = build_workload("KCORE", scale="tiny")
         config = systems.BASELINE.configure(workload)
         sim = GpuUvmSimulator(workload, config)
         sim.run()
-        assert sim.timeline is None
+        assert sim.observer is None
